@@ -12,6 +12,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -20,6 +21,7 @@ import (
 	"samurai/internal/device"
 	"samurai/internal/markov"
 	"samurai/internal/obs"
+	"samurai/internal/obs/trace"
 	"samurai/internal/rng"
 	"samurai/internal/rtn"
 	"samurai/internal/waveform"
@@ -108,15 +110,15 @@ func main() {
 		vgsWave = waveform.Constant(v)
 	}
 
-	span := obs.StartSpan("rtngen")
-	uni := span.Child("uniformise")
+	sctx, span := trace.Start(context.Background(), "rtngen")
+	_, uni := trace.Start(sctx, "uniformise")
 	paths, err := markov.UniformiseProfile(profile, bias, 0, *duration, root.Split(2))
 	if err != nil {
 		log.Fatal(err)
 	}
 	uni.End()
-	comp := span.Child("compose")
-	trace, err := rtn.Compose(paths, dev, vgsWave, waveform.Constant(*id), 0, *duration, *samples)
+	_, comp := trace.Start(sctx, "compose")
+	out, err := rtn.Compose(paths, dev, vgsWave, waveform.Constant(*id), 0, *duration, *samples)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -129,12 +131,12 @@ func main() {
 		transitions += p.Transitions()
 	}
 	log.Printf("%d trap transitions; trace max %.3g A, mean %.3g A",
-		transitions, trace.MaxAbs(), trace.Mean())
+		transitions, out.MaxAbs(), out.Mean())
 
 	w := bufio.NewWriter(os.Stdout)
 	fmt.Fprintln(w, "time_s,i_rtn_A,n_filled")
-	for i := range trace.T {
-		fmt.Fprintf(w, "%.9e,%.9e,%d\n", trace.T[i], trace.I[i], rtn.CountAt(times, counts, trace.T[i]))
+	for i := range out.T {
+		fmt.Fprintf(w, "%.9e,%.9e,%d\n", out.T[i], out.I[i], rtn.CountAt(times, counts, out.T[i]))
 	}
 	if err := w.Flush(); err != nil {
 		log.Fatal(err)

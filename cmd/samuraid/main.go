@@ -7,11 +7,12 @@
 //
 //	samuraid -addr :8437 -store samuraid.jsonl
 //
-// With -coordinator, samuraid executes nothing itself: it becomes the
-// fabric coordinator, sharding array jobs into cell-range leases for
-// samuraiw workers (see internal/fabric). The /jobs API is unchanged;
-// /fabric/lease, /fabric/checkpoint and /fabric/status carry the
-// worker protocol.
+// Array sweeps always run through the jobd lease protocol: -max-jobs
+// in-process executors lease cells directly from the job table, and
+// samuraiw workers may lease from the same table over /fabric/lease,
+// /fabric/checkpoint and /fabric/status (see internal/fabric). With
+// -coordinator, samuraid starts no in-process executors: every array
+// cell goes to samuraiw workers, and run-type jobs are refused.
 //
 // SIGTERM/SIGINT drains gracefully: in-flight cells finish and
 // checkpoint, interrupted sweeps return to the queue (resumed on next
@@ -55,16 +56,16 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:8437", "HTTP listen address (host:port; :0 picks a free port)")
 	flag.StringVar(&cfg.storePath, "store", "samuraid.jsonl", "append-only job store path")
-	flag.IntVar(&cfg.maxJobs, "max-jobs", 1, "jobs executing concurrently")
+	flag.IntVar(&cfg.maxJobs, "max-jobs", 1, "in-process executors (each runs one run job or one array lease at a time)")
 	flag.IntVar(&cfg.workers, "workers", 0, "default per-job cell workers (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.flightSize, "flight-size", 0, "per-job flight-recorder ring capacity (0 = default, negative disables)")
+	flag.IntVar(&cfg.flightSize, "flight-size", 0, "per-job flight-recorder ring capacity (0 = default: 4096, none with -coordinator; negative disables)")
 	flag.StringVar(&cfg.addrFile, "addr-file", "", "write the bound address to this file once listening")
 	flag.BoolVar(&cfg.progress, "progress", false, "log progress events to stderr as JSONL")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "max time for the HTTP server to drain on shutdown")
 	flag.BoolVar(&cfg.compact, "compact", true, "compact the job store on startup (snapshot + truncate)")
-	flag.BoolVar(&cfg.coordinator, "coordinator", false, "run as fabric coordinator (lease work to samuraiw workers instead of executing locally)")
-	flag.IntVar(&cfg.leaseCells, "lease-cells", 0, "coordinator: max cells per lease (0 = default 32)")
-	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 0, "coordinator: lease renewal deadline (0 = default 10s)")
+	flag.BoolVar(&cfg.coordinator, "coordinator", false, "start no in-process executors (lease all array work to samuraiw workers)")
+	flag.IntVar(&cfg.leaseCells, "lease-cells", 0, "max cells per remote lease; in-process leases take this many per cell worker (0 = default 32)")
+	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 0, "lease renewal deadline (0 = default 10s)")
 	flag.Parse()
 
 	if err := run(cfg); err != nil {
@@ -93,25 +94,18 @@ func run(cfg config) error {
 		}
 	}
 
-	var handler http.Handler
-	var drain func()
+	maxJobs := cfg.maxJobs
 	if cfg.coordinator {
-		co := fabric.New(store, replayed, maxSeq, fabric.Options{
-			LeaseCells: cfg.leaseCells,
-			LeaseTTL:   cfg.leaseTTL,
-		})
-		handler = fabric.NewHandler(co)
-		drain = co.Drain
-	} else {
-		sched := jobd.New(store, replayed, maxSeq, jobd.Options{
-			MaxJobs:    cfg.maxJobs,
-			Workers:    cfg.workers,
-			FlightSize: cfg.flightSize,
-		})
-		sched.Start()
-		handler = jobd.NewHandler(sched)
-		drain = sched.Drain
+		maxJobs = -1
 	}
+	sched := jobd.New(store, replayed, maxSeq, jobd.Options{
+		MaxJobs:    maxJobs,
+		Workers:    cfg.workers,
+		FlightSize: cfg.flightSize,
+		LeaseCells: cfg.leaseCells,
+		LeaseTTL:   cfg.leaseTTL,
+	})
+	sched.Start()
 
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
@@ -123,7 +117,7 @@ func run(cfg config) error {
 		}
 	}
 	srv := &http.Server{
-		Handler:           handler,
+		Handler:           fabric.NewHandler(sched),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	serveErr := make(chan error, 1)
@@ -150,12 +144,11 @@ func run(cfg config) error {
 		return fmt.Errorf("serve: %w", err)
 	}
 
-	// Drain order matters: stop the job layer first (the scheduler
-	// finishes and checkpoints in-flight cells; the coordinator stops
-	// granting leases but keeps accepting worker checkpoint flushes
-	// until the HTTP server drains), then the HTTP server, then the
-	// store.
-	drain()
+	// Drain order matters: stop the job layer first (in-process
+	// executors finish and checkpoint in-flight cells; no new leases are
+	// granted, but remote workers' checkpoint flushes keep landing until
+	// the HTTP server drains), then the HTTP server, then the store.
+	sched.Drain()
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -1,16 +1,19 @@
-// Command samuraiw is the SAMURAI fabric worker: it acquires cell-range
-// leases from a samuraid coordinator (-coordinator mode), simulates the
+// Command samuraiw is the SAMURAI fabric worker: it runs the jobd lease
+// loop — the one samuraid's in-process executors run — against a
+// samuraid over HTTP: it acquires cell-range leases, simulates the
 // leased cells with the standard array runner, and streams the per-cell
-// results back as checkpoints.
+// results back as checkpoints. Workers can join any samuraid; one
+// started with -coordinator leaves all array work to them.
 //
 // Usage:
 //
 //	samuraiw -coordinator http://127.0.0.1:8437
 //
-// Workers are stateless: kill one at any moment and the coordinator
-// re-leases its unfinished cells after the lease TTL, with no effect on
-// the final result (cell outcomes are pure functions of the job seed
-// and cell index).
+// Workers are stateless: kill one at any moment and samuraid re-leases
+// its unfinished cells after the lease TTL, with no effect on the final
+// result (cell outcomes are pure functions of the job seed and cell
+// index). A cancelled job voids its leases; the worker drops the range
+// and moves on.
 //
 // SIGTERM/SIGINT drains gracefully: in-flight cells finish and
 // checkpoint, the unfinished remainder of the current lease returns to
@@ -34,7 +37,7 @@ import (
 
 func main() {
 	coordinator := flag.String("coordinator", "http://127.0.0.1:8437", "coordinator base URL")
-	id := flag.String("id", "", "worker identity (empty = coordinator assigns one)")
+	id := flag.String("id", "", "worker identity (empty = coordinator assigns one; the local- prefix is reserved)")
 	threads := flag.Int("threads", 0, "cell parallelism per lease (0 = the job spec's setting)")
 	poll := flag.Duration("poll", 500*time.Millisecond, "idle re-poll interval when no lease is available")
 	once := flag.Bool("once", false, "exit when the coordinator reports all jobs done")

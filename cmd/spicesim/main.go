@@ -18,6 +18,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -27,6 +28,7 @@ import (
 
 	"samurai/internal/circuit"
 	"samurai/internal/obs"
+	"samurai/internal/obs/trace"
 )
 
 func main() {
@@ -128,7 +130,7 @@ func emit(w *bufio.Writer, deck *circuit.Deck) error {
 // what Deck.RunTran does internally) so a progress event can be emitted
 // at each 10% mark of simulated time.
 func runTran(deck *circuit.Deck) (*circuit.TransientResult, error) {
-	span := obs.StartSpan("spicesim.tran")
+	_, span := trace.Start(context.Background(), "spicesim.tran")
 	defer span.End()
 	r, err := deck.Circuit.NewRunner(deck.Tran)
 	if err != nil {

@@ -34,8 +34,8 @@ func (f *fakeClock) Advance(d time.Duration) {
 }
 
 // newClockedCoordinator builds a coordinator on a fake clock over a
-// fresh store, returning the store path for restart tests.
-func newClockedCoordinator(t *testing.T, clk *fakeClock, opts Options) (*Coordinator, string) {
+// fresh store, returning the store for restart tests.
+func newClockedCoordinator(t *testing.T, clk *fakeClock, opts Options) (*Coordinator, *jobd.Store) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "store.jsonl")
 	store, jobs, seq, err := jobd.Open(path)
@@ -47,7 +47,7 @@ func newClockedCoordinator(t *testing.T, clk *fakeClock, opts Options) (*Coordin
 		store.Close()
 	})
 	opts.Now = clk.Now
-	return New(store, jobs, seq, opts), path
+	return New(store, jobs, seq, opts), store
 }
 
 // cellRec builds a synthetic checkpoint for protocol-level tests (no
@@ -62,9 +62,9 @@ func cellRec(i int, v float64) jobd.CellRecord {
 
 // mustLease acquires a fresh lease and fails the test on anything but
 // a grant.
-func mustLease(t *testing.T, c *Coordinator, worker string) LeaseResponse {
+func mustLease(t *testing.T, c *Coordinator, worker string) jobd.LeaseResponse {
 	t.Helper()
-	resp, code, err := c.Lease(LeaseRequest{Worker: worker})
+	resp, code, err := c.Lease(jobd.LeaseRequest{Worker: worker})
 	if err != nil || code != http.StatusOK {
 		t.Fatalf("lease: code %d, err %v", code, err)
 	}
@@ -90,17 +90,17 @@ func TestLeaseRenewAfterExpiry(t *testing.T) {
 
 	// In-TTL renewal works and extends the deadline.
 	clk.Advance(8 * time.Second)
-	if _, code, err := c.Lease(LeaseRequest{Worker: grant.Worker, Renew: grant.Lease}); err != nil || code != http.StatusOK {
+	if _, code, err := c.Lease(jobd.LeaseRequest{Worker: grant.Worker, Renew: grant.Lease}); err != nil || code != http.StatusOK {
 		t.Fatalf("in-TTL renew: code %d, err %v", code, err)
 	}
 	clk.Advance(8 * time.Second)
-	if _, code, err := c.Lease(LeaseRequest{Worker: grant.Worker, Renew: grant.Lease}); err != nil || code != http.StatusOK {
+	if _, code, err := c.Lease(jobd.LeaseRequest{Worker: grant.Worker, Renew: grant.Lease}); err != nil || code != http.StatusOK {
 		t.Fatalf("renew after extension: code %d, err %v", code, err)
 	}
 
 	// Let it lapse: the renewal must be refused.
 	clk.Advance(11 * time.Second)
-	_, code, err := c.Lease(LeaseRequest{Worker: grant.Worker, Renew: grant.Lease})
+	_, code, err := c.Lease(jobd.LeaseRequest{Worker: grant.Worker, Renew: grant.Lease})
 	if code != http.StatusGone || err == nil {
 		t.Fatalf("renew after expiry: code %d, err %v, want 410", code, err)
 	}
@@ -135,7 +135,7 @@ func TestCheckpointStolenLeaseFirstWins(t *testing.T) {
 
 	// The slow worker's results land first — still valid, bit-wise the
 	// same computation.
-	resp, code, err := c.Checkpoint(CheckpointRequest{
+	resp, code, err := c.Checkpoint(jobd.CheckpointRequest{
 		Worker: "w-slow", Job: g1.Job, Lease: g1.Lease,
 		Cells: []jobd.CellRecord{cellRec(0, 0.25), cellRec(1, 0.5)},
 	})
@@ -148,7 +148,7 @@ func TestCheckpointStolenLeaseFirstWins(t *testing.T) {
 
 	// The thief re-simulates the whole range; the overlap must come back
 	// as bit-verified duplicates.
-	resp, code, err = c.Checkpoint(CheckpointRequest{
+	resp, code, err = c.Checkpoint(jobd.CheckpointRequest{
 		Worker: "w-thief", Job: g2.Job, Lease: g2.Lease,
 		Cells: []jobd.CellRecord{cellRec(0, 0.25), cellRec(1, 0.5), cellRec(2, 0.75), cellRec(3, 1.0)},
 	})
@@ -174,7 +174,7 @@ func TestDuplicateCheckpointMismatchFailsLoudly(t *testing.T) {
 	}
 	g := mustLease(t, c, "w-a")
 
-	if _, code, err := c.Checkpoint(CheckpointRequest{
+	if _, code, err := c.Checkpoint(jobd.CheckpointRequest{
 		Worker: "w-a", Job: g.Job, Lease: g.Lease,
 		Cells: []jobd.CellRecord{cellRec(0, 0.25)},
 	}); err != nil || code != http.StatusOK {
@@ -184,7 +184,7 @@ func TestDuplicateCheckpointMismatchFailsLoudly(t *testing.T) {
 	// Same cell, last float bit nudged: must be rejected loudly.
 	bad := cellRec(0, 0.25)
 	bad.VtShift["M1"] = 0.25000000000000006
-	_, code, err := c.Checkpoint(CheckpointRequest{
+	_, code, err := c.Checkpoint(jobd.CheckpointRequest{
 		Worker: "w-b", Job: g.Job, Cells: []jobd.CellRecord{bad},
 	})
 	if code != http.StatusConflict || err == nil {
@@ -205,7 +205,7 @@ func TestDuplicateCheckpointMismatchFailsLoudly(t *testing.T) {
 // replay from the WAL.
 func TestWorkerRegistrationReplayAfterRestart(t *testing.T) {
 	clk := newFakeClock()
-	c, path := newClockedCoordinator(t, clk, Options{LeaseCells: 2, LeaseTTL: 10 * time.Second})
+	c, store := newClockedCoordinator(t, clk, Options{LeaseCells: 2, LeaseTTL: 10 * time.Second})
 	if _, err := c.Submit(testSpec(4, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -214,17 +214,17 @@ func TestWorkerRegistrationReplayAfterRestart(t *testing.T) {
 	if g.Worker != "w-longlived" {
 		t.Fatalf("presented id not honoured: %q", g.Worker)
 	}
-	if _, code, err := c.Checkpoint(CheckpointRequest{
+	if _, code, err := c.Checkpoint(jobd.CheckpointRequest{
 		Worker: "w-longlived", Job: g.Job, Lease: g.Lease,
 		Cells: []jobd.CellRecord{cellRec(0, 0.25), cellRec(1, 0.5)},
 	}); err != nil || code != http.StatusOK {
 		t.Fatalf("pre-restart checkpoint: code %d, err %v", code, err)
 	}
-	if err := c.store.Close(); err != nil {
+	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	store2, jobs2, seq2, err := jobd.Open(path)
+	store2, jobs2, seq2, err := jobd.Open(store.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestWorkerRegistrationReplayAfterRestart(t *testing.T) {
 	if g2.Lo != 2 || g2.Hi != 4 {
 		t.Fatalf("post-restart lease [%d,%d), want the unfinished [2,4)", g2.Lo, g2.Hi)
 	}
-	resp, code, err := c2.Checkpoint(CheckpointRequest{
+	resp, code, err := c2.Checkpoint(jobd.CheckpointRequest{
 		Worker: "w-longlived", Job: g2.Job, Lease: g2.Lease,
 		Cells: []jobd.CellRecord{cellRec(2, 0.75), cellRec(3, 1.0)},
 	})
@@ -265,13 +265,13 @@ func TestLeaseReleaseReturnsCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := mustLease(t, c, "w-a")
-	if _, code, err := c.Checkpoint(CheckpointRequest{
+	if _, code, err := c.Checkpoint(jobd.CheckpointRequest{
 		Worker: "w-a", Job: g.Job, Lease: g.Lease,
 		Cells: []jobd.CellRecord{cellRec(0, 0.25)},
 	}); err != nil || code != http.StatusOK {
 		t.Fatalf("checkpoint: code %d, err %v", code, err)
 	}
-	if _, code, err := c.Lease(LeaseRequest{Worker: "w-a", Release: g.Lease}); err != nil || code != http.StatusOK {
+	if _, code, err := c.Lease(jobd.LeaseRequest{Worker: "w-a", Release: g.Lease}); err != nil || code != http.StatusOK {
 		t.Fatalf("release: code %d, err %v", code, err)
 	}
 	st := c.Status()
@@ -282,7 +282,7 @@ func TestLeaseReleaseReturnsCells(t *testing.T) {
 		t.Fatalf("released cells not back in the pool: %+v", st.Jobs[0])
 	}
 	// Releasing again is 410: the lease no longer exists.
-	if _, code, _ := c.Lease(LeaseRequest{Worker: "w-a", Release: g.Lease}); code != http.StatusGone {
+	if _, code, _ := c.Lease(jobd.LeaseRequest{Worker: "w-a", Release: g.Lease}); code != http.StatusGone {
 		t.Fatalf("double release: code %d, want 410", code)
 	}
 	// The cells are immediately re-grantable.
@@ -302,7 +302,7 @@ func TestReleaseWithErrorFailsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := mustLease(t, c, "w-a")
-	if _, code, err := c.Lease(LeaseRequest{
+	if _, code, err := c.Lease(jobd.LeaseRequest{
 		Worker: "w-a", Release: g.Lease, Error: "cell 2: solver diverged",
 	}); err != nil || code != http.StatusOK {
 		t.Fatalf("release with error: code %d, err %v", code, err)
@@ -325,13 +325,13 @@ func TestReleaseByNonHolderRefused(t *testing.T) {
 	}
 	g := mustLease(t, c, "w-holder")
 
-	_, code, err := c.Lease(LeaseRequest{Worker: "w-intruder", Release: g.Lease, Error: "not my lease"})
+	_, code, err := c.Lease(jobd.LeaseRequest{Worker: "w-intruder", Release: g.Lease, Error: "not my lease"})
 	if code != http.StatusGone || err == nil {
 		t.Fatalf("foreign release: code %d, err %v, want 410", code, err)
 	}
 
 	// The lease is still live under its holder and the job unharmed.
-	if _, code, err := c.Lease(LeaseRequest{Worker: "w-holder", Renew: g.Lease}); err != nil || code != http.StatusOK {
+	if _, code, err := c.Lease(jobd.LeaseRequest{Worker: "w-holder", Renew: g.Lease}); err != nil || code != http.StatusOK {
 		t.Fatalf("holder renew after foreign release: code %d, err %v", code, err)
 	}
 	v, _ := c.Get(g.Job)
@@ -343,7 +343,7 @@ func TestReleaseByNonHolderRefused(t *testing.T) {
 	}
 
 	// The rightful holder's release still works.
-	if _, code, err := c.Lease(LeaseRequest{Worker: "w-holder", Release: g.Lease}); err != nil || code != http.StatusOK {
+	if _, code, err := c.Lease(jobd.LeaseRequest{Worker: "w-holder", Release: g.Lease}); err != nil || code != http.StatusOK {
 		t.Fatalf("holder release: code %d, err %v", code, err)
 	}
 }
@@ -387,7 +387,7 @@ func TestReplayedRunJobFailed(t *testing.T) {
 		t.Fatalf("replayed run job: %+v", v)
 	}
 	// Leasing finds nothing and reports done (all terminal).
-	resp, code, err := c.Lease(LeaseRequest{})
+	resp, code, err := c.Lease(jobd.LeaseRequest{})
 	if err != nil || code != http.StatusOK || !resp.Idle || !resp.Done {
 		t.Fatalf("lease over terminal table: %+v code %d err %v", resp, code, err)
 	}
@@ -404,14 +404,14 @@ func TestDrainStopsLeasingAcceptsCheckpoints(t *testing.T) {
 	g := mustLease(t, c, "w-a")
 	c.Drain()
 
-	resp, code, err := c.Lease(LeaseRequest{Worker: "w-b"})
+	resp, code, err := c.Lease(jobd.LeaseRequest{Worker: "w-b"})
 	if err != nil || code != http.StatusOK || !resp.Idle || !resp.Done {
 		t.Fatalf("lease while draining: %+v code %d err %v", resp, code, err)
 	}
 	if _, err := c.Submit(testSpec(4, 1)); err == nil {
 		t.Fatal("submission accepted while draining")
 	}
-	cp, code, err := c.Checkpoint(CheckpointRequest{
+	cp, code, err := c.Checkpoint(jobd.CheckpointRequest{
 		Worker: "w-a", Job: g.Job, Lease: g.Lease,
 		Cells: []jobd.CellRecord{cellRec(0, 0.25), cellRec(1, 0.5)},
 	})

@@ -31,6 +31,9 @@ func testSpec(cells, workers int) jobd.Spec {
 	}
 }
 
+// recordsEqual is the scheduler's bit-wise duplicate check.
+func recordsEqual(a, b jobd.CellRecord) bool { return a.Equal(b) }
+
 // baseline runs the spec single-node through RunArrayCtx — the result
 // every fabric topology must reproduce bit-for-bit.
 func baseline(t *testing.T, spec jobd.Spec) (*montecarlo.ArrayResult, []jobd.CellRecord) {
@@ -61,7 +64,7 @@ func assertMerged(t *testing.T, c *Coordinator, jobID string, res *montecarlo.Ar
 	if v.State != jobd.StateDone {
 		t.Fatalf("job %s is %s (%s), want done", jobID, v.State, v.Error)
 	}
-	got, _ := c.Records(jobID)
+	got, _ := c.CellRecords(jobID)
 	if len(got) != len(want) {
 		t.Fatalf("merged %d cells, want %d", len(got), len(want))
 	}
@@ -333,15 +336,14 @@ func TestWorkerDrainReleasesLease(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w := NewWorker(WorkerOptions{
+	var w *Worker
+	var once sync.Once
+	w = NewWorker(WorkerOptions{
 		BaseURL:      srv.URL,
 		Poll:         10 * time.Millisecond,
 		ExitWhenDone: true,
+		OnCheckpoint: func(string, int) { once.Do(w.Drain) },
 	})
-	var once sync.Once
-	w.opts.OnCheckpoint = func(string, int) {
-		once.Do(w.Drain)
-	}
 	done := make(chan error, 1)
 	go func() { done <- w.Run(context.Background()) }()
 	select {

@@ -1,25 +1,27 @@
-// Package fabric is the distributed sweep layer: a coordinator that
-// owns the jobd write-ahead store and shards Monte-Carlo array jobs
-// into cell-index leases, plus the worker client that acquires leases,
-// simulates its subset via montecarlo.RunArrayCtx and streams the
-// per-cell results back as checkpoints.
+// Package fabric is the HTTP transport of the jobd lease protocol: the
+// /fabric/* routes a jobd.Scheduler serves to remote workers, and the
+// worker-side client that runs the jobd.Executor lease loop against
+// them. The job table, the lease pool and the summary all live in jobd;
+// a fabric coordinator is simply a scheduler that starts no in-process
+// executors (samuraid -coordinator), so every array cell is leased to
+// remote samuraiw workers.
 //
 // # Determinism under sharding
 //
 // Every cell's rng stream is a pure function of (job seed, cell index)
 // — the invariant the single-node resume tests pin bit-exactly — so
 // cells shard across workers with no coordination beyond index ranges:
-// an N-worker fabric run merges to results byte-identical to a
-// single-node montecarlo.RunArrayCtx sweep of the same spec. Work
-// stealing rides the same invariant: when a straggler's lease expires
-// and its cells are reissued, a late checkpoint from the original
-// worker is simply a duplicate of a bit-identical result, resolved by
-// "first durable checkpoint wins". The coordinator asserts Float64bits
-// equality on every duplicate — a free fleet-wide self-check: any
-// mismatch means a worker's floating-point environment or build
-// diverged, and the job fails loudly rather than merging poison.
+// an N-worker sweep merges to results byte-identical to a single-node
+// montecarlo.RunArrayCtx sweep of the same spec. Work stealing rides
+// the same invariant: when a straggler's lease expires and its cells
+// are reissued, a late checkpoint from the original worker is simply a
+// duplicate of a bit-identical result, resolved by "first durable
+// checkpoint wins". The scheduler asserts Float64bits equality on every
+// duplicate — a free fleet-wide self-check: any mismatch means a
+// worker's floating-point environment or build diverged, and the job
+// fails loudly rather than merging poison.
 //
-// The protocol is three HTTP endpoints on the coordinator:
+// The protocol is three HTTP endpoints:
 //
 //	POST /fabric/lease       acquire a lease (or renew / release one)
 //	POST /fabric/checkpoint  stream completed cell records back
@@ -35,125 +37,21 @@ const (
 	PathStatus     = "/fabric/status"
 )
 
-// LeaseRequest is the POST /fabric/lease body. At most one of Renew or
-// Release is set; with neither, the request acquires a fresh lease.
-type LeaseRequest struct {
-	// Worker identifies the requester. Empty on first contact: the
-	// coordinator assigns an id and returns it. Unknown ids (a worker
-	// outliving a coordinator restart) are re-registered transparently.
-	Worker string `json:"worker,omitempty"`
-	// Renew heartbeats an existing lease: its deadline is extended and
-	// no new work is handed out. A renewal of an expired or stolen lease
-	// fails with HTTP 410 — the worker must stop and re-acquire.
-	Renew uint64 `json:"renew,omitempty"`
-	// Release returns a lease's un-checkpointed cells to the pool
-	// without waiting for expiry (the graceful-drain path).
-	Release uint64 `json:"release,omitempty"`
-	// Error, set on a Release, reports a simulation failure: the job is
-	// failed loudly instead of the cells being retried forever. (Cell
-	// outcomes are pure functions of the seed, so a simulation error
-	// reproduces on any worker — re-leasing cannot fix it.)
-	Error string `json:"error,omitempty"`
-}
+// The coordinator, its options and the remote worker are jobd's; these
+// names keep the fabric vocabulary.
+type (
+	Coordinator = jobd.Scheduler
+	Options     = jobd.Options
+	Worker      = jobd.Executor
+)
 
-// LeaseResponse answers an acquire or renew.
-type LeaseResponse struct {
-	// Worker echoes (or assigns) the worker id.
-	Worker string `json:"worker"`
-	// Lease identifies the granted lease; 0 when Idle.
-	Lease uint64 `json:"lease,omitempty"`
-	// Job and Spec describe the sweep the leased cells belong to.
-	Job  string     `json:"job,omitempty"`
-	Spec *jobd.Spec `json:"spec,omitempty"`
-	// Lo and Hi bound the leased contiguous cell-index range [Lo, Hi).
-	Lo int `json:"lo,omitempty"`
-	Hi int `json:"hi,omitempty"`
-	// TTLMS is the lease deadline in milliseconds; the worker should
-	// renew well inside it (it is also returned on renewals).
-	TTLMS int64 `json:"ttl_ms,omitempty"`
-	// Idle reports that no lease is available right now.
-	Idle bool `json:"idle,omitempty"`
-	// Done reports that every known job is terminal (or the coordinator
-	// is draining); pollers running with -once may exit.
-	Done bool `json:"done,omitempty"`
-}
-
-// CheckpointRequest is the POST /fabric/checkpoint body: a batch of
-// completed cells for one job, appended to the coordinator's WAL in
-// order. The lease id is advisory — checkpoints are accepted for any
-// non-terminal job even after the lease was stolen, because the result
-// is bit-identical either way and first-durable-wins.
-type CheckpointRequest struct {
-	Worker string            `json:"worker"`
-	Job    string            `json:"job"`
-	Lease  uint64            `json:"lease,omitempty"`
-	Cells  []jobd.CellRecord `json:"cells"`
-}
-
-// CheckpointResponse reports what the coordinator did with the batch.
-type CheckpointResponse struct {
-	// Accepted counts cells durably appended by this request.
-	Accepted int `json:"accepted"`
-	// Duplicates counts cells that were already durable; each one passed
-	// the bit-equality assertion.
-	Duplicates int `json:"duplicates"`
-	// Done / Total is the job's checkpoint progress after the batch.
-	Done  int `json:"done"`
-	Total int `json:"total"`
-	// State is the job's lifecycle state after the batch ("done" once
-	// the final cell lands).
-	State jobd.State `json:"state"`
-}
-
-// Status is the GET /fabric/status document.
-type Status struct {
-	Draining bool `json:"draining"`
-	// StealsTotal counts expired leases whose cells were returned to the
-	// pool across all jobs since this coordinator started.
-	StealsTotal int64         `json:"steals_total"`
-	Jobs        []JobStatus   `json:"jobs"`
-	Workers     []WorkerState `json:"workers,omitempty"`
-}
-
-// JobStatus is one job's sharding state.
-type JobStatus struct {
-	ID         string        `json:"id"`
-	State      jobd.State    `json:"state"`
-	CellsDone  int           `json:"cells_done"`
-	CellsTotal int           `json:"cells_total"`
-	// Pending counts cells neither checkpointed nor currently leased.
-	Pending int `json:"pending"`
-	// Leased counts cells currently out under a live lease.
-	Leased int `json:"leased"`
-	// Steals counts leases of this job that expired and were reclaimed.
-	Steals int           `json:"steals"`
-	Leases []LeaseStatus `json:"leases,omitempty"`
-}
-
-// LeaseStatus describes one outstanding lease.
-type LeaseStatus struct {
-	ID     uint64 `json:"id"`
-	Worker string `json:"worker"`
-	Lo     int    `json:"lo"`
-	Hi     int    `json:"hi"`
-	// Remaining counts leased cells not yet checkpointed.
-	Remaining int `json:"remaining"`
-	// ExpiresInMS is the time to the lease deadline (negative once
-	// reapable).
-	ExpiresInMS int64 `json:"expires_in_ms"`
-	Renews      int   `json:"renews"`
-}
-
-// WorkerState is the coordinator's liveness view of one worker.
-type WorkerState struct {
-	ID string `json:"id"`
-	// Cells counts checkpoints accepted from this worker.
-	Cells int64 `json:"cells"`
-	// Leases counts leases ever granted to this worker.
-	Leases int64 `json:"leases"`
-	// LastContactMS is the time since the worker's last request.
-	LastContactMS int64 `json:"last_contact_ms"`
-	// CellsPerSec is the worker's checkpoint throughput since first
-	// contact with this coordinator process.
-	CellsPerSec float64 `json:"cells_per_sec"`
+// New builds a coordinator over a freshly opened store: a scheduler
+// with no in-process executors, so array cells are only leased to
+// remote workers and run-type jobs are refused. replayed and maxSeq
+// come from jobd.Open.
+func New(store *jobd.Store, replayed []*jobd.Job, maxSeq uint64, opts Options) *Coordinator {
+	opts.MaxJobs = -1
+	c := jobd.New(store, replayed, maxSeq, opts)
+	c.Start()
+	return c
 }

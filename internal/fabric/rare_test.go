@@ -89,7 +89,7 @@ func TestFabricRareMergeBitIdentical(t *testing.T) {
 		}
 	}
 
-	got, _ := c.Records(v.ID)
+	got, _ := c.CellRecords(v.ID)
 	if len(got) != len(want) {
 		t.Fatalf("merged %d cells, want %d", len(got), len(want))
 	}
@@ -131,17 +131,17 @@ func TestFabricRareDuplicateMismatchCaught(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grant, code, err := c.Lease(LeaseRequest{})
+	grant, code, err := c.Lease(jobd.LeaseRequest{})
 	if err != nil || code != 200 || grant.Idle {
 		t.Fatalf("lease: %v (code %d, idle %v)", err, code, grant.Idle)
 	}
 	rec := jobd.CellRecord{Index: 0, LogLR: 0.25, GlitchDepth: 0.5}
-	if _, code, err := c.Checkpoint(CheckpointRequest{Worker: grant.Worker, Job: v.ID, Lease: grant.Lease, Cells: []jobd.CellRecord{rec}}); err != nil || code != 200 {
+	if _, code, err := c.Checkpoint(jobd.CheckpointRequest{Worker: grant.Worker, Job: v.ID, Lease: grant.Lease, Cells: []jobd.CellRecord{rec}}); err != nil || code != 200 {
 		t.Fatalf("first checkpoint: %v (code %d)", err, code)
 	}
 	twisted := rec
 	twisted.LogLR = math.Nextafter(rec.LogLR, 1)
-	if _, code, _ := c.Checkpoint(CheckpointRequest{Worker: grant.Worker, Job: v.ID, Lease: grant.Lease, Cells: []jobd.CellRecord{twisted}}); code != 409 {
+	if _, code, _ := c.Checkpoint(jobd.CheckpointRequest{Worker: grant.Worker, Job: v.ID, Lease: grant.Lease, Cells: []jobd.CellRecord{twisted}}); code != 409 {
 		t.Fatalf("diverging duplicate log-LR accepted (code %d)", code)
 	}
 	fv, _ := c.Get(v.ID)

@@ -1,164 +1,26 @@
 package fabric
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 
 	"samurai/internal/jobd"
-	"samurai/internal/obs"
 )
 
-// NewHandler mounts the coordinator API next to the observability
-// surface (obs.NewMux: /metrics, /debug/pprof) and returns the combined
-// handler. The /jobs surface mirrors the single-node samuraid API, so
-// clients submit and fetch results identically whether a scheduler or
-// a fabric sits behind the socket; /fabric/* is the worker protocol.
+// NewHandler serves the job API (jobd.NewHandler: /jobs with events,
+// cancel, trace and results, /metrics, /healthz) plus the worker
+// protocol on the same mux:
 //
-//	POST /jobs                submit an array Spec, 202 + View
-//	GET  /jobs                list all jobs
-//	GET  /jobs/{id}           one job's View
-//	GET  /jobs/{id}/result    409 until done; provenance manifest,
-//	                          summary + sorted cells
-//	GET  /jobs/{id}/trace     lease-lifecycle trace (Chrome JSON, or
-//	                          ?format=jsonl)
 //	POST /fabric/lease        acquire / renew / release a cell lease
 //	POST /fabric/checkpoint   append completed cell records
 //	GET  /fabric/status       leases, steals, worker liveness
-//	GET  /healthz             liveness (503 while draining)
+//
+// Both POST bodies share the job API's size cap and strict decoding.
 func NewHandler(c *Coordinator) http.Handler {
-	mux := obs.NewMux(nil)
-	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec jobd.Spec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("fabric: decoding job spec: %w", err))
-			return
-		}
-		v, err := c.Submit(spec)
-		if err != nil {
-			code := http.StatusBadRequest
-			if errors.Is(err, ErrDraining) {
-				code = http.StatusServiceUnavailable
-			}
-			httpError(w, code, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, v)
-	})
-	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.List())
-	})
-	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		v, ok := c.Get(r.PathValue("id"))
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("fabric: no job %q", r.PathValue("id")))
-			return
-		}
-		writeJSON(w, http.StatusOK, v)
-	})
-	mux.HandleFunc("GET /jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		v, ok := c.Get(id)
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("fabric: no job %q", id))
-			return
-		}
-		if v.State != jobd.StateDone {
-			httpError(w, http.StatusConflict, fmt.Errorf("fabric: job %q is %s, not done", id, v.State))
-			return
-		}
-		cells, _ := c.Records(id)
-		// Same serve-time-only provenance rule as the single-node result
-		// endpoint: the manifest is machine-dependent and never enters
-		// the WAL.
-		writeJSON(w, http.StatusOK, struct {
-			ID      string            `json:"id"`
-			RunInfo obs.RunInfo       `json:"run_info"`
-			Summary *jobd.Summary     `json:"summary"`
-			Cells   []jobd.CellRecord `json:"cells,omitempty"`
-		}{
-			ID:      id,
-			RunInfo: obs.Info(v.Spec.Seed, fmt.Sprintf("%016x", v.Spec.TraceID())),
-			Summary: v.Result,
-			Cells:   cells,
-		})
-	})
-	mux.HandleFunc("GET /jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		tr, ok := c.Trace(id)
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("fabric: no trace for job %q", id))
-			return
-		}
-		var err error
-		switch format := r.URL.Query().Get("format"); format {
-		case "", "chrome":
-			w.Header().Set("Content-Type", "application/json")
-			err = tr.WriteChrome(w)
-		case "jsonl":
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			err = tr.WriteJSONL(w)
-		default:
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("fabric: unknown trace format %q (want chrome or jsonl)", format))
-			return
-		}
-		if err != nil {
-			// Mid-stream write failure: the client hung up.
-			return
-		}
-	})
-	mux.HandleFunc("POST "+PathLease, func(w http.ResponseWriter, r *http.Request) {
-		var req LeaseRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("fabric: decoding lease request: %w", err))
-			return
-		}
-		resp, code, err := c.Lease(req)
-		if err != nil {
-			httpError(w, code, err)
-			return
-		}
-		writeJSON(w, code, resp)
-	})
-	mux.HandleFunc("POST "+PathCheckpoint, func(w http.ResponseWriter, r *http.Request) {
-		var req CheckpointRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("fabric: decoding checkpoint: %w", err))
-			return
-		}
-		resp, code, err := c.Checkpoint(req)
-		if err != nil {
-			httpError(w, code, err)
-			return
-		}
-		writeJSON(w, code, resp)
-	})
+	mux := jobd.NewHandler(c)
+	mux.HandleFunc("POST "+PathLease, jobd.JSONRoute(c.Lease))
+	mux.HandleFunc("POST "+PathCheckpoint, jobd.JSONRoute(c.Checkpoint))
 	mux.HandleFunc("GET "+PathStatus, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Status())
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		if c.Draining() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		jobd.WriteJSON(w, http.StatusOK, c.Status())
 	})
 	return mux
-}
-
-// writeJSON encodes v as the response body.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	//lint:ignore bareerr a worker that hung up mid-response re-polls; the lease protocol self-heals
-	json.NewEncoder(w).Encode(v)
-}
-
-// httpError writes a JSON error body.
-func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -4,31 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
-	"samurai"
 	"samurai/internal/jobd"
 	"samurai/internal/montecarlo"
 	"samurai/internal/obs"
 )
 
-// Worker-side instrumentation (the worker process has its own metrics
-// surface when cmd/samuraiw serves one).
-var (
-	mwLeases = obs.GetCounter("samurai_fabricw_leases_total",
-		"leases acquired by this worker")
-	mwCellsSim = obs.GetCounter("samurai_fabricw_cells_simulated_total",
-		"cells simulated by this worker")
-	mwLost = obs.GetCounter("samurai_fabricw_leases_lost_total",
-		"leases lost to stealing (renewal refused mid-run)")
-	mwRetries = obs.GetCounter("samurai_fabricw_post_retries_total",
-		"coordinator requests retried after transport or 5xx failures")
-)
+var mwRetries = obs.GetCounter("samurai_fabricw_post_retries_total",
+	"coordinator requests retried after transport or 5xx failures")
 
 // WorkerOptions configures a fabric worker. BaseURL is required; the
 // zero value of everything else is usable.
@@ -57,7 +44,7 @@ type WorkerOptions struct {
 	// job terminal, instead of polling for more work forever.
 	ExitWhenDone bool
 	// MaxRetries bounds the capped-exponential-backoff retries of each
-	// coordinator request (default 8).
+	// acquire and checkpoint request (default 8).
 	MaxRetries int
 	// Backoff is the initial retry backoff (default 100ms); MaxBackoff
 	// caps the exponential growth (default 5s).
@@ -68,370 +55,101 @@ type WorkerOptions struct {
 	OnCheckpoint func(job string, index int)
 }
 
-func (o WorkerOptions) withDefaults() WorkerOptions {
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if o.Poll <= 0 {
-		o.Poll = 500 * time.Millisecond
-	}
-	if o.Runner == nil {
-		o.Runner = samurai.ArrayRunnerCtx()
-	}
-	if o.RareRunner == nil {
-		o.RareRunner = samurai.RareArrayRunnerCtx()
-	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 8
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 100 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 5 * time.Second
-	}
-	return o
-}
-
-// Worker is a fabric lease executor: it acquires cell-range leases from
-// a coordinator, simulates them with montecarlo.RunArrayCtx restricted
-// to the leased subset, and streams checkpoints back. Workers hold no
-// durable state — killing one loses nothing but the lease TTL.
-type Worker struct {
-	opts WorkerOptions
-
-	mu sync.Mutex
-	id string
-
-	drain     chan struct{}
-	drainOnce sync.Once
-}
-
-// NewWorker builds a worker; Run does the work.
+// NewWorker builds a remote executor: the jobd lease loop speaking the
+// protocol to the coordinator at BaseURL over HTTP. Run does the work.
 func NewWorker(opts WorkerOptions) *Worker {
-	o := opts.withDefaults()
-	return &Worker{opts: o, id: o.ID, drain: make(chan struct{})}
-}
-
-// ID returns the worker's identity (assigned by the coordinator on
-// first contact when WorkerOptions.ID was empty).
-func (w *Worker) ID() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.id
-}
-
-func (w *Worker) setID(id string) {
-	if id == "" {
-		return
+	c := &client{base: opts.BaseURL, hc: opts.Client, maxRetries: opts.MaxRetries,
+		backoff: opts.Backoff, maxBackoff: opts.MaxBackoff}
+	if c.hc == nil {
+		c.hc = &http.Client{Timeout: 30 * time.Second}
 	}
-	w.mu.Lock()
-	w.id = id
-	w.mu.Unlock()
-}
-
-// Drain stops the worker gracefully: in-flight cells finish and
-// checkpoint, the unfinished remainder of the current lease is released
-// back to the pool, and Run returns nil. Safe to call more than once.
-func (w *Worker) Drain() {
-	w.drainOnce.Do(func() { close(w.drain) })
-}
-
-func (w *Worker) draining() bool {
-	select {
-	case <-w.drain:
-		return true
-	default:
-		return false
+	if c.maxRetries <= 0 {
+		c.maxRetries = 8
 	}
-}
-
-// Run executes the lease/simulate/checkpoint loop until the context is
-// cancelled (hard abort — the coordinator steals the lease after its
-// TTL), Drain is called (graceful), or — with ExitWhenDone — the
-// coordinator reports all jobs terminal.
-func (w *Worker) Run(ctx context.Context) error {
-	for {
-		if w.draining() {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		grant, err := w.acquire(ctx)
-		if err != nil {
-			if w.draining() {
-				return nil
-			}
-			return err
-		}
-		if grant.Idle {
-			if grant.Done && w.opts.ExitWhenDone {
-				return nil
-			}
-			timer := time.NewTimer(w.opts.Poll)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				timer.Stop()
-				return ctx.Err()
-			case <-w.drain:
-				timer.Stop()
-				return nil
-			}
-			continue
-		}
-		if err := w.runLease(ctx, grant); err != nil {
-			return err
-		}
+	if c.backoff <= 0 {
+		c.backoff = 100 * time.Millisecond
 	}
-}
-
-// acquire requests a fresh lease with capped-exponential-backoff retry
-// on transport and 5xx failures.
-func (w *Worker) acquire(ctx context.Context) (LeaseResponse, error) {
-	var resp LeaseResponse
-	err := w.retry(ctx, func() (int, error) {
-		resp = LeaseResponse{}
-		return w.post(ctx, PathLease, LeaseRequest{Worker: w.ID()}, &resp)
+	if c.maxBackoff <= 0 {
+		c.maxBackoff = 5 * time.Second
+	}
+	return jobd.NewExecutor(c, jobd.ExecutorOptions{
+		ID:           opts.ID,
+		Threads:      opts.Threads,
+		Poll:         opts.Poll,
+		Runner:       opts.Runner,
+		RareRunner:   opts.RareRunner,
+		ExitWhenDone: opts.ExitWhenDone,
+		OnCheckpoint: opts.OnCheckpoint,
 	})
-	if err != nil {
-		return resp, fmt.Errorf("fabric: acquiring lease: %w", err)
-	}
-	w.setID(resp.Worker)
-	if !resp.Idle {
-		mwLeases.Inc()
-	}
-	return resp, nil
 }
 
-// runLease simulates one granted cell range. Three goroutine roles:
-// the renewal heartbeat keeps the lease alive (and cancels the run the
-// moment the coordinator refuses — the lease was stolen, further work
-// is waste), the sender streams checkpoint batches with retry, and the
-// calling goroutine runs the sweep itself.
-func (w *Worker) runLease(ctx context.Context, grant LeaseResponse) error {
-	if grant.Spec == nil {
-		return fmt.Errorf("fabric: lease %d granted without a spec", grant.Lease)
-	}
-	cfg, err := grant.Spec.ArrayConfig()
-	if err != nil {
-		return fmt.Errorf("fabric: lease %d spec: %w", grant.Lease, err)
-	}
-	if w.opts.Threads > 0 {
-		cfg.Workers = w.opts.Threads
-	}
-
-	lctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var hbWG sync.WaitGroup
-	stolen := make(chan struct{})
-	hbWG.Add(1)
-	go func() {
-		defer hbWG.Done()
-		w.heartbeat(lctx, cancel, grant, stolen)
-	}()
-
-	// The checkpoint channel is sized for the whole range, so OnCell
-	// (called on simulation worker goroutines) never blocks on the
-	// network: a slow coordinator stalls durability, not simulation.
-	recs := make(chan jobd.CellRecord, grant.Hi-grant.Lo)
-	var sendErr error
-	senderDone := make(chan struct{})
-	go func() {
-		defer close(senderDone)
-		sendErr = w.sendLoop(ctx, grant, recs)
-		if sendErr != nil {
-			cancel()
-		}
-	}()
-
-	sub := montecarlo.IndexRange{Lo: grant.Lo, Hi: grant.Hi}
-	aopts := montecarlo.ArrayOptions{
-		Subset: &sub,
-		Drain:  w.drain,
-		OnCell: func(o montecarlo.CellOutcome) {
-			mwCellsSim.Inc()
-			recs <- jobd.NewCellRecord(o)
-		},
-	}
-	var run montecarlo.CtxRunner
-	if grant.Spec.Type == jobd.TypeRareArray {
-		// The worker streams raw records (counts + per-cell log-LR);
-		// the weighted aggregate is the coordinator's to compute once
-		// every shard is durable, so the shard-local one is discarded.
-		aopts.RareEvent = &montecarlo.RareEventSpec{
-			TiltEV: grant.Spec.TiltEV,
-			Runner: w.opts.RareRunner,
-		}
-	} else {
-		run = w.opts.Runner
-	}
-	_, runErr := montecarlo.RunArrayCtx(lctx, cfg, run, aopts)
-	close(recs)
-	<-senderDone
-	cancel()
-	hbWG.Wait()
-
-	if sendErr != nil {
-		return sendErr
-	}
-
-	wasStolen := false
-	select {
-	case <-stolen:
-		wasStolen = true
-	default:
-	}
-
-	if runErr != nil && !wasStolen {
-		// Unfinished cells go back to the pool now instead of waiting
-		// out the TTL. Best-effort: if the release is lost, stealing
-		// covers it. The parent context (not lctx — cancelled above
-		// unconditionally) distinguishes a genuine simulation failure,
-		// which must fail the job loudly, from an external abort.
-		relErr := ""
-		if !errors.Is(runErr, montecarlo.ErrDrained) && ctx.Err() == nil {
-			relErr = runErr.Error()
-		}
-		var resp LeaseResponse
-		//lint:ignore bareerr best-effort release; lease expiry recovers the cells regardless
-		w.post(ctx, PathLease, LeaseRequest{Worker: w.ID(), Release: grant.Lease, Error: relErr}, &resp)
-	}
-
-	switch {
-	case runErr == nil:
-		return nil
-	case errors.Is(runErr, montecarlo.ErrDrained):
-		// Graceful drain: Run's loop observes w.draining and exits.
-		return nil
-	case ctx.Err() != nil:
-		return ctx.Err()
-	case wasStolen:
-		// The coordinator moved on; so do we.
-		obs.Emit("fabricw.stolen",
-			obs.F("worker", w.ID()), obs.F("lease", grant.Lease))
-		return nil
-	default:
-		return fmt.Errorf("fabric: lease %d (job %s cells [%d,%d)): %w",
-			grant.Lease, grant.Job, grant.Lo, grant.Hi, runErr)
-	}
+// client is the HTTP jobd.LeaseClient.
+type client struct {
+	base                string
+	hc                  *http.Client
+	maxRetries          int
+	backoff, maxBackoff time.Duration
 }
 
-// heartbeat renews the lease at a third of its TTL until the lease
-// context ends. A 410 means the lease was stolen: stolen is closed and
-// the run cancelled.
-func (w *Worker) heartbeat(lctx context.Context, cancel context.CancelFunc, grant LeaseResponse, stolen chan struct{}) {
-	interval := time.Duration(grant.TTLMS) * time.Millisecond / 3
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
+// Lease posts one lease exchange. Acquires are retried; renewals and
+// releases are single-shot — the next heartbeat tick renews again, and
+// a lost release is recovered by lease expiry.
+func (c *client) Lease(ctx context.Context, req jobd.LeaseRequest) (jobd.LeaseResponse, int, error) {
+	var resp jobd.LeaseResponse
+	post := func() (int, error) {
+		resp = jobd.LeaseResponse{}
+		return c.post(ctx, PathLease, req, &resp)
 	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-lctx.Done():
-			return
-		case <-ticker.C:
-			var resp LeaseResponse
-			code, err := w.post(lctx, PathLease, LeaseRequest{Worker: w.ID(), Renew: grant.Lease}, &resp)
-			switch {
-			case err == nil:
-				continue
-			case code == http.StatusGone:
-				mwLost.Inc()
-				close(stolen)
-				cancel()
-				return
-			default:
-				// Transient: the lease survives missed renewals for the
-				// remainder of its TTL; try again next tick.
-			}
-		}
+	if req.Renew != 0 || req.Release != 0 {
+		code, err := post()
+		return resp, code, err
 	}
+	code, err := c.retry(ctx, post)
+	return resp, code, err
 }
 
-// sendLoop batches checkpoint records as they arrive and posts each
-// batch with retry. A post that fails permanently (409 determinism
-// mismatch, job gone, retries exhausted) aborts the lease.
-func (w *Worker) sendLoop(ctx context.Context, grant LeaseResponse, recs <-chan jobd.CellRecord) error {
-	for rec := range recs {
-		batch := []jobd.CellRecord{rec}
-	gather:
-		for {
-			select {
-			case r, ok := <-recs:
-				if !ok {
-					break gather
-				}
-				batch = append(batch, r)
-			default:
-				break gather
-			}
-		}
-		var resp CheckpointResponse
-		err := w.retry(ctx, func() (int, error) {
-			resp = CheckpointResponse{}
-			return w.post(ctx, PathCheckpoint, CheckpointRequest{
-				Worker: w.ID(), Job: grant.Job, Lease: grant.Lease, Cells: batch,
-			}, &resp)
-		})
-		if err != nil {
-			return fmt.Errorf("fabric: checkpointing %d cells of job %s: %w", len(batch), grant.Job, err)
-		}
-		if w.opts.OnCheckpoint != nil {
-			for _, r := range batch {
-				w.opts.OnCheckpoint(grant.Job, r.Index)
-			}
-		}
-	}
-	return nil
+// Checkpoint posts one checkpoint batch with retry.
+func (c *client) Checkpoint(ctx context.Context, req jobd.CheckpointRequest) (jobd.CheckpointResponse, int, error) {
+	var resp jobd.CheckpointResponse
+	code, err := c.retry(ctx, func() (int, error) {
+		resp = jobd.CheckpointResponse{}
+		return c.post(ctx, PathCheckpoint, req, &resp)
+	})
+	return resp, code, err
 }
 
-// retry runs fn with capped exponential backoff. Transport errors
-// (code 0) and 5xx responses are retried; 4xx responses are protocol
-// outcomes and returned immediately.
-func (w *Worker) retry(ctx context.Context, fn func() (int, error)) error {
-	backoff := w.opts.Backoff
-	for attempt := 0; ; attempt++ {
-		code, err := fn()
-		if err == nil {
-			return nil
+// retry runs fn in the jobd.Backoff loop and returns its last status.
+// Transport errors (code 0) and 5xx responses are retried; 4xx
+// responses are protocol outcomes and returned immediately.
+func (c *client) retry(ctx context.Context, fn func() (int, error)) (int, error) {
+	var code int
+	err := jobd.Backoff(ctx, c.maxRetries, c.backoff, c.maxBackoff, func(n int) (bool, error) {
+		var err error
+		code, err = fn()
+		retry := (code == 0 || code >= http.StatusInternalServerError) && ctx.Err() == nil
+		if err != nil && retry && n < c.maxRetries {
+			mwRetries.Inc()
 		}
-		retriable := code == 0 || code >= http.StatusInternalServerError
-		if !retriable || attempt >= w.opts.MaxRetries || ctx.Err() != nil {
-			return err
-		}
-		mwRetries.Inc()
-		timer := time.NewTimer(backoff)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return ctx.Err()
-		}
-		if backoff *= 2; backoff > w.opts.MaxBackoff {
-			backoff = w.opts.MaxBackoff
-		}
-	}
+		return retry, err
+	})
+	return code, err
 }
 
 // post sends one JSON request and decodes the JSON response. Error
 // responses (>= 400) are folded into the returned error together with
 // the coordinator's message; the status code is returned either way
 // (0 for transport failures).
-func (w *Worker) post(ctx context.Context, path string, req, out any) (int, error) {
+func (c *client) post(ctx context.Context, path string, req, out any) (int, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return 0, fmt.Errorf("fabric: encoding %T: %w", req, err)
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opts.BaseURL+path, bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := w.opts.Client.Do(hreq)
+	resp, err := c.hc.Do(hreq)
 	if err != nil {
 		return 0, err
 	}
@@ -448,10 +166,8 @@ func (w *Worker) post(ctx context.Context, path string, req, out any) (int, erro
 		}
 		return resp.StatusCode, fmt.Errorf("fabric: %s: %s", path, e.Error)
 	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, fmt.Errorf("fabric: decoding %s response: %w", path, err)
-		}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return resp.StatusCode, fmt.Errorf("fabric: decoding %s response: %w", path, err)
 	}
 	return resp.StatusCode, nil
 }

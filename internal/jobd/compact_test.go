@@ -65,7 +65,7 @@ func assertSameTable(t *testing.T, got, want []*Job) {
 	}
 	for i := range want {
 		g, w := got[i], want[i]
-		gv, wv := g.View(), w.View()
+		gv, wv := g.view(), w.view()
 		if gv.ID != wv.ID || gv.State != wv.State || gv.Error != wv.Error ||
 			gv.CellsDone != wv.CellsDone || gv.CellsTotal != wv.CellsTotal {
 			t.Fatalf("job %d view differs: got %+v want %+v", i, gv, wv)
@@ -149,7 +149,7 @@ func TestCompactReplayEquivalent(t *testing.T) {
 		t.Fatalf("job-000001 state %s, want queued", jobs2[0].State)
 	}
 	if jobs2[1].State != StateDone || jobs2[1].Result == nil {
-		t.Fatalf("job-000002 lost its terminal state or result: %+v", jobs2[1].View())
+		t.Fatalf("job-000002 lost its terminal state or result: %+v", jobs2[1].view())
 	}
 }
 

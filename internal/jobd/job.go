@@ -1,7 +1,19 @@
 // Package jobd is samuraid's durable job layer: a JSON job model, an
-// append-only JSONL write-ahead store, and a draining scheduler that
-// executes methodology runs (samurai.Run) and Monte-Carlo array sweeps
-// (montecarlo.RunArray) with cell-granular checkpoints.
+// append-only JSONL write-ahead store, and the one job table — the
+// Scheduler — that executes methodology runs (samurai.Run) whole and
+// shards Monte-Carlo array sweeps (montecarlo.RunArrayCtx) into
+// cell-range leases with cell-granular checkpoints.
+//
+// # One execution path
+//
+// Every array cell reaches the WAL through the same lease protocol:
+// Lease hands out a contiguous cell range, Checkpoint appends finished
+// cells (bit-verifying duplicates), and the summary is recomputed from
+// the durable records once the last cell lands. The Scheduler's own
+// in-process executors call Lease and Checkpoint directly; remote
+// workers (internal/fabric, cmd/samuraiw) run the identical Executor
+// loop over HTTP. A single-node result and a distributed one are
+// therefore bit-identical by construction.
 //
 // # Determinism under resume
 //
@@ -19,6 +31,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"time"
 
 	"samurai"
 	"samurai/internal/device"
@@ -139,12 +152,6 @@ func (s Spec) withDefaults() Spec {
 	s.Retry = s.Retry.withDefaults()
 	return s
 }
-
-// Normalized returns the spec with optional fields defaulted — the
-// canonical form stored in the job table. Submitting the normalized
-// spec anywhere (scheduler or fabric coordinator) yields the same
-// TraceID, so the same sweep is diffable across deployments.
-func (s Spec) Normalized() Spec { return s.withDefaults() }
 
 // Validate checks a (defaulted) spec for consistency.
 func (s Spec) Validate() error {
@@ -308,27 +315,28 @@ type Job struct {
 	// job's current (or most recent) run. Rebuilt each time the job is
 	// picked up; observability state, never persisted to the WAL.
 	tracer *trace.Tracer
+	// runStart and runBase (the clock and the checkpoint count at
+	// pickup) feed the per-job throughput gauge.
+	runStart time.Time
+	runBase  int
+
+	// The lease pool of a live array job (see lease.go). It is soft
+	// state: rebuilt from the checkpoints on replay, never persisted.
+	//
+	// pending marks cells neither checkpointed nor leased; leased maps a
+	// leased cell to its lease id (ids start at 1, so the zero value of
+	// a missing key never matches).
+	pending []bool
+	nPend   int
+	leased  map[int]uint64
+	steals  int
 }
 
-// cellsDone returns the number of checkpointed cells.
-func (j *Job) cellsDone() int { return len(j.cells) }
+// Done returns the number of checkpointed cells.
+func (j *Job) Done() int { return len(j.cells) }
 
-// resumeOutcomes converts the checkpointed cells into the Resume slice
-// RunArrayCtx expects, ordered by index for reproducible dispatch.
-func (j *Job) resumeOutcomes() []montecarlo.CellOutcome {
-	if len(j.cells) == 0 {
-		return nil
-	}
-	out := make([]montecarlo.CellOutcome, 0, len(j.cells))
-	for _, rec := range j.cells {
-		out = append(out, rec.Outcome())
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Index < out[b].Index })
-	return out
-}
-
-// cellRecords returns the checkpointed cells sorted by index.
-func (j *Job) cellRecords() []CellRecord {
+// Records returns the checkpointed cells sorted by index.
+func (j *Job) Records() []CellRecord {
 	out := make([]CellRecord, 0, len(j.cells))
 	for _, rec := range j.cells {
 		out = append(out, rec)
@@ -336,43 +344,6 @@ func (j *Job) cellRecords() []CellRecord {
 	sort.Slice(out, func(a, b int) bool { return out[a].Index < out[b].Index })
 	return out
 }
-
-// The exported Job accessors below exist for owners other than the
-// in-process Scheduler — the fabric coordinator keeps its own job table
-// over the same Store. The caller owns serialisation: all of them must
-// run under whatever mutex guards the job, exactly like the unexported
-// twins the Scheduler uses.
-
-// Records returns the checkpointed cells sorted by index.
-func (j *Job) Records() []CellRecord { return j.cellRecords() }
-
-// Done returns the number of checkpointed cells.
-func (j *Job) Done() int { return j.cellsDone() }
-
-// Checkpointed reports whether cell index i has a durable record.
-func (j *Job) Checkpointed(i int) bool {
-	_, ok := j.cells[i]
-	return ok
-}
-
-// Cell returns the checkpointed record for index i, if any.
-func (j *Job) Cell(i int) (CellRecord, bool) {
-	rec, ok := j.cells[i]
-	return rec, ok
-}
-
-// PutCell attaches a checkpointed cell record to the job's in-memory
-// table. The caller must have appended the record to the Store first —
-// memory never runs ahead of the WAL.
-func (j *Job) PutCell(rec CellRecord) {
-	if j.cells == nil {
-		j.cells = map[int]CellRecord{}
-	}
-	j.cells[rec.Index] = rec
-}
-
-// View snapshots the job into its immutable API form.
-func (j *Job) View() View { return j.view() }
 
 // View is an immutable snapshot of a job, JSON-shaped for the API.
 type View struct {
@@ -393,7 +364,7 @@ func (j *Job) view() View {
 		State:      j.State,
 		Spec:       j.Spec,
 		Error:      j.Error,
-		CellsDone:  j.cellsDone(),
+		CellsDone:  j.Done(),
 		CellsTotal: j.CellsTotal,
 		Resumes:    j.Resumes,
 	}

@@ -10,10 +10,8 @@ import (
 	"time"
 
 	"samurai"
-	"samurai/internal/montecarlo"
 	"samurai/internal/obs"
 	"samurai/internal/obs/trace"
-	"samurai/internal/sram"
 )
 
 // Service instrumentation, resolved against the process registry so
@@ -21,7 +19,7 @@ import (
 // and montecarlo series.
 var (
 	mQueueDepth = obs.GetGauge("samurai_jobd_queue_depth",
-		"jobs waiting for a scheduler slot")
+		"jobs waiting to start")
 	mResumes = obs.GetCounter("samurai_jobd_resumes_total",
 		"sweeps picked back up with checkpointed cells in the store")
 	mCellsCheckpointed = obs.GetCounter("samurai_jobd_cells_checkpointed_total",
@@ -43,27 +41,53 @@ func jobScope(id string) *obs.Scope {
 	return obs.Default().Child(obs.L("job", id))
 }
 
-// ErrDraining is returned by Submit once Drain has begun.
-var ErrDraining = errors.New("jobd: scheduler is draining; not accepting jobs")
+var (
+	// ErrDraining is returned by Submit once Drain has begun.
+	ErrDraining = errors.New("jobd: scheduler is draining; not accepting jobs")
+	// ErrNoJob wraps every lookup of an unknown job id.
+	ErrNoJob = errors.New("jobd: no job")
+	// errRunNeedsExecutor refuses run-type jobs on a scheduler without
+	// in-process executors: a run has no cells to lease out.
+	errRunNeedsExecutor = fmt.Errorf("jobd: %q jobs need an in-process executor; this scheduler only leases array cells", TypeRun)
+)
 
 // Options tunes a Scheduler. The zero value is usable.
 type Options struct {
-	// MaxJobs bounds concurrently executing jobs (default 1). Each
-	// array job additionally parallelises over its own cell workers.
+	// MaxJobs is the number of in-process executors Start launches
+	// (default 1): each one runs run-type jobs whole and leases array
+	// cells, which it simulates with the job's own cell parallelism.
+	// Negative launches none: the scheduler then only leases array cells
+	// to remote workers and refuses run-type jobs.
 	MaxJobs int
-	// QueueCap bounds jobs waiting behind the running ones (default
-	// 256); Submit fails once the queue is full.
+	// QueueCap bounds the jobs waiting to start (default 256); Submit
+	// fails once that many are queued.
 	QueueCap int
-	// Workers is the default per-job cell parallelism applied when a
-	// spec leaves Workers at 0 (0 → GOMAXPROCS, montecarlo's default).
+	// Workers is the default per-job cell parallelism of in-process
+	// executors when a spec leaves Workers at 0 (0 → GOMAXPROCS,
+	// montecarlo's default).
 	Workers int
-	// Retry is the default per-cell retry policy for specs that do not
-	// set one.
+	// Retry is the default per-cell retry policy of in-process executors
+	// for specs that do not set one.
 	Retry RetrySpec
 	// FlightSize is the per-job flight-recorder ring capacity (last N
 	// span/event notes kept for failure dumps; default
-	// DefaultFlightSize). Negative disables the recorder.
+	// DefaultFlightSize). Negative disables the recorder, which is the
+	// default without in-process executors: such a scheduler runs no
+	// spans, so a ring per job would hold only lease events.
 	FlightSize int
+	// LeaseCells caps the cells handed out per remote lease (default
+	// 32); an in-process executor's lease holds LeaseCells per cell
+	// worker. Smaller leases steal faster after an executor death; larger
+	// ones amortise the per-lease round trips and tail waits.
+	LeaseCells int
+	// LeaseTTL is the renewal deadline (default 10s). A lease not
+	// renewed within it is stolen: its cells return to the pool.
+	LeaseTTL time.Duration
+	// Now supplies the clock (default time.Now). Tests inject a fake to
+	// drive lease expiry without sleeping. The clock feeds lease
+	// deadlines, liveness and throughput gauges only — never anything
+	// durable.
+	Now func() time.Time
 }
 
 // DefaultFlightSize keeps the last 4096 notes per job — enough to cover
@@ -71,7 +95,7 @@ type Options struct {
 const DefaultFlightSize = 4096
 
 func (o Options) withDefaults() Options {
-	if o.MaxJobs <= 0 {
+	if o.MaxJobs == 0 {
 		o.MaxJobs = 1
 	}
 	if o.QueueCap <= 0 {
@@ -79,15 +103,28 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FlightSize == 0 {
 		o.FlightSize = DefaultFlightSize
+		if o.MaxJobs < 0 {
+			o.FlightSize = -1
+		}
+	}
+	if o.LeaseCells <= 0 {
+		o.LeaseCells = 32
+	}
+	if o.LeaseTTL <= 0 {
+		o.LeaseTTL = 10 * time.Second
+	}
+	if o.Now == nil {
+		o.Now = time.Now
 	}
 	o.Retry = o.Retry.withDefaults()
 	return o
 }
 
-// Scheduler owns the job table and executes jobs on a bounded pool.
-// Every mutation is persisted to the Store before it is observable
-// through the API, so a crash at any point replays into a consistent
-// table.
+// Scheduler owns the job table and its lease pool. Every mutation is
+// persisted to the Store before it is observable through the API, so a
+// crash at any point replays into a consistent table. Lease state is
+// in-memory only: after a restart the pool is rebuilt from the WAL's
+// checkpoints and whatever is missing is leased again.
 type Scheduler struct {
 	store *Store
 	opts  Options
@@ -97,45 +134,66 @@ type Scheduler struct {
 	jobs    map[string]*Job
 	order   []string
 	seq     uint64
+	nQueued int
 	started bool
 	// draining flips once; guarded by mu, signalled by drainCh.
 	draining bool
-	cancels  map[string]context.CancelFunc
+	// cancels aborts the running run-type jobs; array jobs are cancelled
+	// by voiding their leases.
+	cancels map[string]context.CancelFunc
+	// wake is closed (and replaced) whenever work may have appeared for
+	// an idle in-process executor.
+	wake chan struct{}
 
-	queue   chan *Job
+	leaseSeq  uint64
+	workerSeq uint64
+	leases    map[uint64]*lease
+	workers   map[string]*workerInfo
+	steals    int64
+
 	drainCh chan struct{}
 	wg      sync.WaitGroup
 }
 
 // New builds a scheduler over a freshly opened store. replayed and
-// maxSeq come from Open; replayed jobs keep their stored state and
-// queued ones (including drained/crashed sweeps) are re-dispatched by
-// Start.
+// maxSeq come from Open; replayed jobs keep their stored state, and
+// the lease pools of queued array jobs (including drained or crashed
+// sweeps) are rebuilt from their checkpoints. Without in-process
+// executors (MaxJobs < 0) a non-terminal replayed run-type job is
+// failed loudly instead of hanging queued forever.
 func New(store *Store, replayed []*Job, maxSeq uint64, opts Options) *Scheduler {
-	opts = opts.withDefaults()
 	s := &Scheduler{
 		store:   store,
-		opts:    opts,
+		opts:    opts.withDefaults(),
 		hub:     newHub(),
 		jobs:    map[string]*Job{},
 		seq:     maxSeq,
 		cancels: map[string]context.CancelFunc{},
-		queue:   make(chan *Job, opts.QueueCap+len(replayed)),
+		wake:    make(chan struct{}),
+		leases:  map[uint64]*lease{},
+		workers: map[string]*workerInfo{},
 		drainCh: make(chan struct{}),
 	}
 	for _, j := range replayed {
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j.ID)
 		stateGauge(j.State).Add(1)
+		if j.State == StateQueued {
+			s.nQueued++
+			mQueueDepth.Add(1)
+		}
+		j.resetPool()
 		if j.State.Terminal() {
 			s.hub.finish(j.ID)
+		} else if j.Spec.Type == TypeRun && s.opts.MaxJobs < 0 {
+			s.transitionLocked(j, StateFailed, errRunNeedsExecutor.Error())
 		}
 	}
 	return s
 }
 
-// Start launches the worker pool and re-dispatches replayed queued
-// jobs in submission order.
+// Start launches the in-process executors. Replayed sweeps with
+// checkpointed cells count as resumed.
 func (s *Scheduler) Start() {
 	s.mu.Lock()
 	if s.started {
@@ -143,41 +201,58 @@ func (s *Scheduler) Start() {
 		return
 	}
 	s.started = true
-	var pending []*Job
 	for _, id := range s.order {
-		if j := s.jobs[id]; j.State == StateQueued {
-			pending = append(pending, j)
-			if j.cellsDone() > 0 {
-				j.Resumes++
-				mResumes.Inc()
-			}
+		if j := s.jobs[id]; j.State == StateQueued && j.Done() > 0 {
+			j.Resumes++
+			mResumes.Inc()
 		}
 	}
 	s.mu.Unlock()
-	for _, j := range pending {
-		s.enqueue(j)
-	}
-	for w := 0; w < s.opts.MaxJobs; w++ {
+	for n := 1; n <= s.opts.MaxJobs; n++ {
+		opts := ExecutorOptions{ID: fmt.Sprintf("%s%d", localPrefix, n)}.withDefaults()
+		e := &Executor{client: local{s}, opts: opts, s: s, id: opts.ID, drain: s.drainCh}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
+			// A failed lease has already failed its job; the executor
+			// reports it and moves on to the next one.
 			for {
-				select {
-				case j := <-s.queue:
-					mQueueDepth.Add(-1)
-					s.runJob(j)
-				case <-s.drainCh:
+				err := e.Run(context.Background())
+				if err == nil {
 					return
 				}
+				obs.Emit("jobd.executor", obs.F("worker", e.ID()), obs.F("error", err.Error()))
 			}
 		}()
 	}
 }
 
-// enqueue hands a job to the pool; the caller must have persisted it.
-func (s *Scheduler) enqueue(j *Job) {
-	s.queue <- j
-	mQueueDepth.Add(1)
+// notifyLocked wakes every idle in-process executor.
+func (s *Scheduler) notifyLocked() {
+	close(s.wake)
+	s.wake = make(chan struct{})
+}
+
+// next is an in-process executor's acquire: under one lock it claims
+// the first queued run-type job or grants the first lease, whichever
+// comes first in submission order. It also returns the channel the next
+// Submit, release or steal closes, so an idle executor cannot miss the
+// work that appears after this call, and, when idle, how long until the
+// earliest outstanding lease can be stolen (0 with none): a lease whose
+// remote holder died is reaped only by a lease-protocol call, and the
+// idle executor may be the last one left to make it.
+func (s *Scheduler) next(worker string) (LeaseResponse, *Job, <-chan struct{}, time.Duration) {
+	now := s.opts.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := s.touchWorkerLocked(worker, now)
+	s.reapLocked(now)
+	grant, run := s.acquireLocked(w, now, true)
+	var steal time.Duration
+	if grant.Idle {
+		steal = s.untilStealLocked(now)
+	}
+	return grant, run, s.wake, steal
 }
 
 // Submit validates, persists and queues a new job, returning its view.
@@ -186,14 +261,16 @@ func (s *Scheduler) Submit(spec Spec) (View, error) {
 	if err := spec.Validate(); err != nil {
 		return View{}, err
 	}
+	if spec.Type == TypeRun && s.opts.MaxJobs < 0 {
+		return View{}, errRunNeedsExecutor
+	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
-		s.mu.Unlock()
 		return View{}, ErrDraining
 	}
-	if len(s.queue) >= cap(s.queue) {
-		s.mu.Unlock()
-		return View{}, fmt.Errorf("jobd: queue full (%d jobs)", cap(s.queue))
+	if s.nQueued >= s.opts.QueueCap {
+		return View{}, fmt.Errorf("jobd: queue full (%d jobs)", s.nQueued)
 	}
 	s.seq++
 	j := &Job{
@@ -206,24 +283,20 @@ func (s *Scheduler) Submit(spec Spec) (View, error) {
 	if ArrayLike(spec.Type) {
 		j.CellsTotal = spec.Cells
 	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	v := j.view()
-	s.mu.Unlock()
-
 	if err := s.store.AppendJob(j); err != nil {
 		mStoreErrors.Inc()
-		s.mu.Lock()
-		delete(s.jobs, j.ID)
-		s.order = s.order[:len(s.order)-1]
-		s.mu.Unlock()
 		return View{}, err
 	}
+	j.resetPool()
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
+	s.nQueued++
+	mQueueDepth.Add(1)
 	stateGauge(StateQueued).Add(1)
 	s.emit(j.ID, "jobd.state",
 		obs.F("job", j.ID), obs.F("state", string(StateQueued)))
-	s.enqueue(j)
-	return v, nil
+	s.notifyLocked()
+	return j.view(), nil
 }
 
 // Get returns a snapshot of a job.
@@ -268,7 +341,7 @@ func (s *Scheduler) CellRecords(id string) ([]CellRecord, bool) {
 	if !ok {
 		return nil, false
 	}
-	return j.cellRecords(), true
+	return j.Records(), true
 }
 
 // Events subscribes to a job's progress stream.
@@ -283,33 +356,32 @@ func (s *Scheduler) Events(id string) (<-chan obs.Event, func(), bool) {
 	return ch, cancel, true
 }
 
-// Cancel aborts a job: queued jobs transition immediately, running
-// jobs have their context cancelled (the transition happens when the
-// runner observes it). Terminal jobs return an error.
+// Cancel aborts a job. A queued or leased one transitions at once —
+// its leases are void, so every executor holding one stops at its next
+// renewal or checkpoint, and no cell lands after the transition. A
+// running run-type job has its context cancelled; the transition
+// happens when its executor observes it. An unknown job returns an
+// error wrapping ErrNoJob; a terminal one, any other error.
 func (s *Scheduler) Cancel(id string) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("jobd: no job %q", id)
+	switch {
+	case !ok:
+		return fmt.Errorf("%w %q", ErrNoJob, id)
+	case j.State.Terminal():
+		return fmt.Errorf("jobd: job %q already %s", id, j.State)
 	}
-	switch j.State {
-	case StateQueued:
-		s.mu.Unlock()
-		s.transition(j, StateCanceled, "canceled while queued")
+	if cancel := s.cancels[id]; cancel != nil {
+		cancel()
 		return nil
-	case StateRunning:
-		cancel := s.cancels[id]
-		s.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		return nil
-	default:
-		st := j.State
-		s.mu.Unlock()
-		return fmt.Errorf("jobd: job %q already %s", id, st)
 	}
+	msg := "canceled"
+	if j.State == StateQueued {
+		msg = "canceled while queued"
+	}
+	s.transitionLocked(j, StateCanceled, msg)
+	return nil
 }
 
 // Draining reports whether Drain has begun.
@@ -319,10 +391,12 @@ func (s *Scheduler) Draining() bool {
 	return s.draining
 }
 
-// Drain stops the scheduler gracefully: no new jobs are accepted or
-// started, in-flight array cells finish and checkpoint, interrupted
-// sweeps transition back to queued (resumable after restart), and all
-// event streams are closed. It blocks until the pool is idle.
+// Drain stops the scheduler gracefully: no new jobs are accepted and no
+// new leases granted; in-process executors finish and checkpoint their
+// in-flight cells and release the rest; interrupted sweeps transition
+// back to queued (resumable after restart); and all event streams are
+// closed. Checkpoints from remote workers keep landing, so they flush
+// cleanly. It blocks until the in-process executors are idle.
 func (s *Scheduler) Drain() {
 	s.mu.Lock()
 	if s.draining {
@@ -331,9 +405,17 @@ func (s *Scheduler) Drain() {
 		return
 	}
 	s.draining = true
-	s.mu.Unlock()
 	close(s.drainCh)
+	s.mu.Unlock()
 	s.wg.Wait()
+	s.mu.Lock()
+	for _, id := range s.order {
+		if j := s.jobs[id]; j.State == StateRunning {
+			s.dumpFlight(j.ID, j.tracer, "drain")
+			s.transitionLocked(j, StateQueued, "")
+		}
+	}
+	s.mu.Unlock()
 	s.hub.closeAll()
 }
 
@@ -344,22 +426,29 @@ func (s *Scheduler) emit(id, name string, fields ...obs.Field) {
 	obs.Emit(name, fields...)
 }
 
-// transition moves a job to a new state, persisting first and then
-// publishing. A failed store append downgrades the transition to
-// in-memory only (counted by samurai_jobd_store_errors_total) — the
-// API stays truthful for this process lifetime even when the WAL is
-// sick.
-func (s *Scheduler) transition(j *Job, st State, errMsg string) {
+// transitionLocked moves a job to a new state, persisting first and
+// then publishing; the caller holds mu, so the WAL orders the state
+// record against every checkpoint. A failed store append downgrades the
+// transition to in-memory only (counted by
+// samurai_jobd_store_errors_total) — the API stays truthful for this
+// process lifetime even when the WAL is sick.
+func (s *Scheduler) transitionLocked(j *Job, st State, errMsg string) {
 	if err := s.store.AppendState(j.ID, st, errMsg); err != nil {
 		mStoreErrors.Inc()
 	}
-	s.mu.Lock()
 	old := j.State
 	j.State = st
 	j.Error = errMsg
-	s.mu.Unlock()
 	stateGauge(old).Add(-1)
 	stateGauge(st).Add(1)
+	if old == StateQueued {
+		s.nQueued--
+		mQueueDepth.Add(-1)
+	}
+	if st == StateQueued {
+		s.nQueued++
+		mQueueDepth.Add(1)
+	}
 	fields := []obs.Field{obs.F("job", j.ID), obs.F("state", string(st))}
 	if errMsg != "" {
 		fields = append(fields, obs.F("error", errMsg))
@@ -367,76 +456,84 @@ func (s *Scheduler) transition(j *Job, st State, errMsg string) {
 	s.emit(j.ID, "jobd.state", fields...)
 	if st.Terminal() {
 		s.hub.finish(j.ID)
+		s.retireLeasesLocked(j)
 	}
 }
 
-// runJob executes one job to a final (or requeued) state. Every run
-// gets a fresh tracer under the spec's deterministic trace ID and a
-// flight recorder that is dumped to the WAL directory when the run
-// fails or drains.
-func (s *Scheduler) runJob(j *Job) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+// pickupLocked starts a queued job's run: a fresh tracer under the
+// spec's deterministic trace ID, with a flight recorder that is dumped
+// beside the WAL when the run fails, retries or drains.
+func (s *Scheduler) pickupLocked(j *Job) {
 	var flight *trace.Flight
 	if s.opts.FlightSize > 0 {
 		flight = trace.NewFlight(s.opts.FlightSize)
 	}
-	tr := trace.New(j.Spec.TraceID(), trace.Options{Flight: flight})
-	ctx = trace.NewContext(ctx, tr)
+	j.tracer = trace.New(j.Spec.TraceID(), trace.Options{Flight: flight})
+	j.runStart, j.runBase = s.opts.Now(), j.Done()
+	s.transitionLocked(j, StateRunning, "")
+}
+
+// finishLocked persists a job's summary and completes it.
+func (s *Scheduler) finishLocked(j *Job, sum Summary) {
+	if err := s.store.AppendResult(j.ID, sum); err != nil {
+		mStoreErrors.Inc()
+	}
+	j.Result = &sum
+	s.emit(j.ID, "jobd.done",
+		obs.F("job", j.ID),
+		obs.F("num_failed", sum.NumFailed),
+		obs.F("write_errors", sum.WriteErrors),
+		obs.F("slowdowns", sum.Slowdowns))
+	s.transitionLocked(j, StateDone, "")
+}
+
+// failLocked fails a job loudly and dumps its flight recorder.
+func (s *Scheduler) failLocked(j *Job, msg string) {
+	s.dumpFlight(j.ID, j.tracer, "failure")
+	s.transitionLocked(j, StateFailed, msg)
+}
+
+// retried reports one retried cell attempt of an in-process run.
+func (s *Scheduler) retried(id string, seed uint64, attempt int, err error) {
+	jobScope(id).Counter("samurai_jobd_job_retries_total",
+		"per-cell retry attempts of the job's current run").Inc()
+	tr, _ := s.Trace(id)
+	tr.Event("jobd.retry", seed, uint64(attempt), 0)
+	s.emit(id, "jobd.retry",
+		obs.F("job", id),
+		obs.F("seed", seed),
+		obs.F("attempt", attempt),
+		obs.F("error", err.Error()))
+	s.dumpFlight(id, tr, "retry")
+}
+
+// runJob executes a claimed run-type job whole. Cancel may have ended
+// it between the claim and here.
+func (s *Scheduler) runJob(j *Job) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	s.mu.Lock()
-	if j.State != StateQueued {
-		// Cancelled while waiting in the queue.
+	if j.State != StateRunning {
 		s.mu.Unlock()
 		return
 	}
-	j.tracer = tr
-	spec := j.Spec
-	resume := j.resumeOutcomes()
 	s.cancels[j.ID] = cancel
+	ctx = trace.NewContext(ctx, j.tracer)
+	spec := j.Spec
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.cancels, j.ID)
-		s.mu.Unlock()
-	}()
 
-	s.transition(j, StateRunning, "")
+	sum, err := execRun(ctx, spec)
 
-	var sum *Summary
-	var err error
-	switch spec.Type {
-	case TypeRun:
-		sum, err = s.execRun(ctx, spec)
-	case TypeArray, TypeRareArray:
-		sum, err = s.execArray(ctx, cancel, j, spec, resume)
-	default:
-		err = fmt.Errorf("jobd: unknown job type %q", spec.Type)
-	}
-
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.cancels, j.ID)
 	switch {
 	case err == nil:
-		if serr := s.store.AppendResult(j.ID, *sum); serr != nil {
-			mStoreErrors.Inc()
-		}
-		s.mu.Lock()
-		j.Result = sum
-		s.mu.Unlock()
-		s.emit(j.ID, "jobd.done",
-			obs.F("job", j.ID),
-			obs.F("num_failed", sum.NumFailed),
-			obs.F("write_errors", sum.WriteErrors),
-			obs.F("slowdowns", sum.Slowdowns))
-		s.transition(j, StateDone, "")
-	case errors.Is(err, montecarlo.ErrDrained):
-		// Graceful drain: checkpointed progress is in the store; the
-		// job resumes after the next start.
-		s.dumpFlight(j.ID, tr, "drain")
-		s.transition(j, StateQueued, "")
+		s.finishLocked(j, *sum)
 	case errors.Is(err, context.Canceled):
-		s.transition(j, StateCanceled, "canceled")
+		s.transitionLocked(j, StateCanceled, "canceled")
 	default:
-		s.dumpFlight(j.ID, tr, "failure")
-		s.transition(j, StateFailed, err.Error())
+		s.failLocked(j, err.Error())
 	}
 }
 
@@ -446,8 +543,7 @@ func (s *Scheduler) runJob(j *Job) {
 // Dumps are best-effort observability: a write failure is emitted, not
 // returned.
 func (s *Scheduler) dumpFlight(id string, tr *trace.Tracer, reason string) {
-	f := tr.Flight()
-	if f == nil {
+	if tr == nil || tr.Flight() == nil {
 		return
 	}
 	path := filepath.Join(filepath.Dir(s.store.Path()), id+"-flight-"+reason+".jsonl")
@@ -456,7 +552,7 @@ func (s *Scheduler) dumpFlight(id string, tr *trace.Tracer, reason string) {
 		obs.Emit("jobd.flightdump", obs.F("job", id), obs.F("error", err.Error()))
 		return
 	}
-	werr := f.WriteJSONL(fh)
+	werr := tr.Flight().WriteJSONL(fh)
 	if cerr := fh.Close(); werr == nil {
 		werr = cerr
 	}
@@ -468,7 +564,7 @@ func (s *Scheduler) dumpFlight(id string, tr *trace.Tracer, reason string) {
 }
 
 // execRun executes a single methodology run job.
-func (s *Scheduler) execRun(ctx context.Context, spec Spec) (*Summary, error) {
+func execRun(ctx context.Context, spec Spec) (*Summary, error) {
 	cfg, err := spec.RunConfig()
 	if err != nil {
 		return nil, err
@@ -486,168 +582,4 @@ func (s *Scheduler) execRun(ctx context.Context, spec Spec) (*Summary, error) {
 		Slowdowns:   res.WithRTN.NumSlow,
 		Traps:       traps,
 	}, nil
-}
-
-// execArray executes (or resumes) an array sweep with cell-granular
-// checkpointing. cancel aborts the sweep if the WAL stops accepting
-// checkpoints — running on without durability would break the resume
-// contract silently.
-func (s *Scheduler) execArray(ctx context.Context, cancel context.CancelFunc, j *Job, spec Spec, resume []montecarlo.CellOutcome) (*Summary, error) {
-	cfg, err := spec.ArrayConfig()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = s.opts.Workers
-	}
-	retry := spec.Retry
-	if retry.Max == 0 {
-		retry = s.opts.Retry
-	}
-	trc := trace.FromContext(ctx)
-	scope := jobScope(j.ID)
-	cellsPerSec := scope.Gauge("samurai_jobd_job_cells_per_second",
-		"fresh cells per second of the job's current run")
-	retries := scope.Counter("samurai_jobd_job_retries_total",
-		"per-cell retry attempts of the job's current run")
-	onRetry := func(seed uint64, attempt int, err error) {
-		retries.Inc()
-		trc.Event("jobd.retry", seed, uint64(attempt), 0)
-		s.emit(j.ID, "jobd.retry",
-			obs.F("job", j.ID),
-			obs.F("seed", seed),
-			obs.F("attempt", attempt),
-			obs.F("error", err.Error()))
-		s.dumpFlight(j.ID, trc, "retry")
-	}
-	var runner montecarlo.CtxRunner
-	var rare *montecarlo.RareEventSpec
-	if spec.Type == TypeRareArray {
-		rare = &montecarlo.RareEventSpec{
-			TiltEV: spec.TiltEV,
-			Runner: retryRareRunner(samurai.RareArrayRunnerCtx(), retry, onRetry),
-		}
-	} else {
-		runner = retryRunner(samurai.ArrayRunnerCtx(), retry, onRetry)
-	}
-
-	start := time.Now()
-	var storeErr error
-	var storeErrOnce sync.Once
-	opts := montecarlo.ArrayOptions{
-		Resume:    resume,
-		Drain:     s.drainCh,
-		RareEvent: rare,
-		OnCell: func(o montecarlo.CellOutcome) {
-			rec := NewCellRecord(o)
-			if aerr := s.store.AppendCell(j.ID, rec); aerr != nil {
-				mStoreErrors.Inc()
-				storeErrOnce.Do(func() {
-					storeErr = aerr
-					cancel()
-				})
-				return
-			}
-			mCellsCheckpointed.Inc()
-			s.mu.Lock()
-			j.cells[rec.Index] = rec
-			done := j.cellsDone()
-			total := j.CellsTotal
-			s.mu.Unlock()
-			trc.Event("jobd.cell", uint64(rec.Index), uint64(done), uint64(total))
-			if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-				cellsPerSec.Set(float64(done-len(resume)) / elapsed)
-			}
-			s.emit(j.ID, "jobd.cell",
-				obs.F("job", j.ID),
-				obs.F("index", rec.Index),
-				obs.F("done", done),
-				obs.F("cells", total))
-		},
-	}
-	res, err := montecarlo.RunArrayCtx(ctx, cfg, runner, opts)
-	if err != nil {
-		if storeErr != nil {
-			return nil, fmt.Errorf("jobd: checkpoint store failed: %w", storeErr)
-		}
-		return nil, err
-	}
-	return &Summary{
-		NumFailed: res.NumFailed,
-		ErrorRate: res.ErrorRate,
-		MeanTraps: res.MeanTraps,
-		Rare:      res.Rare,
-	}, nil
-}
-
-// retryRareRunner is retryRunner for the tilted rare-event cell runner.
-// The same determinism argument applies: a rare cell's outcome —
-// including its log-LR and glitch depth — is a pure function of
-// (seed, tiltEV), so a retry either reproduces the failure or yields
-// the one true result.
-func retryRareRunner(run montecarlo.RareCtxRunner, r RetrySpec, onRetry func(seed uint64, attempt int, err error)) montecarlo.RareCtxRunner {
-	if r.Max <= 0 {
-		return run
-	}
-	r = r.withDefaults()
-	return func(ctx context.Context, cell sram.CellConfig, pattern sram.Pattern, scale, tiltEV float64, seed uint64) (int, int, int, float64, float64, error) {
-		backoff := time.Duration(r.BackoffMS) * time.Millisecond
-		maxBackoff := time.Duration(r.MaxBackoffMS) * time.Millisecond
-		for attempt := 0; ; attempt++ {
-			nerr, slow, traps, logLR, glitch, err := run(ctx, cell, pattern, scale, tiltEV, seed)
-			if err == nil || attempt >= r.Max ||
-				errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nerr, slow, traps, logLR, glitch, err
-			}
-			if onRetry != nil {
-				onRetry(seed, attempt, err)
-			}
-			timer := time.NewTimer(backoff)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				timer.Stop()
-				return nerr, slow, traps, logLR, glitch, err
-			}
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-		}
-	}
-}
-
-// retryRunner wraps a cell runner with capped exponential backoff for
-// transiently failing cells. Cancellation errors are never retried,
-// and the backoff sleep aborts as soon as ctx does. onRetry (optional)
-// observes each attempt that is about to be retried, keyed by the
-// cell's seed — the one stable identifier the runner signature carries.
-func retryRunner(run montecarlo.CtxRunner, r RetrySpec, onRetry func(seed uint64, attempt int, err error)) montecarlo.CtxRunner {
-	if r.Max <= 0 {
-		return run
-	}
-	r = r.withDefaults()
-	return func(ctx context.Context, cell sram.CellConfig, pattern sram.Pattern, scale float64, seed uint64) (int, int, int, error) {
-		backoff := time.Duration(r.BackoffMS) * time.Millisecond
-		maxBackoff := time.Duration(r.MaxBackoffMS) * time.Millisecond
-		for attempt := 0; ; attempt++ {
-			nerr, slow, traps, err := run(ctx, cell, pattern, scale, seed)
-			if err == nil || attempt >= r.Max ||
-				errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nerr, slow, traps, err
-			}
-			if onRetry != nil {
-				onRetry(seed, attempt, err)
-			}
-			timer := time.NewTimer(backoff)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				timer.Stop()
-				return nerr, slow, traps, err
-			}
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-		}
-	}
 }

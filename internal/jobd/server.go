@@ -10,9 +10,14 @@ import (
 	"samurai/internal/obs"
 )
 
+// MaxBodyBytes caps every request body the API decodes — a job spec, a
+// lease exchange, a checkpoint batch (at most 256 cells, ~100 KiB).
+// Beyond it the request is refused with 413 before it is buffered.
+const MaxBodyBytes = 1 << 20
+
 // NewHandler mounts the job API next to the observability surface
-// (obs.NewMux: /metrics, /debug/pprof) and returns the combined
-// handler.
+// (obs.NewMux: /metrics, /debug/pprof) and returns the mux, on which
+// internal/fabric mounts the remote-worker routes.
 //
 //	POST /jobs                submit a Spec, 202 + View
 //	GET  /jobs                list all jobs
@@ -27,29 +32,20 @@ import (
 //	POST /jobs/{id}/cancel    cancel queued or running job
 //	GET  /debug/flightrecorder  recent span/event notes of every job
 //	GET  /healthz             liveness (503 while draining)
-func NewHandler(s *Scheduler) http.Handler {
+func NewHandler(s *Scheduler) *http.ServeMux {
 	mux := obs.NewMux(nil)
-	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec Spec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("jobd: decoding job spec: %w", err))
-			return
-		}
+	mux.HandleFunc("POST /jobs", JSONRoute(func(spec Spec) (View, int, error) {
 		v, err := s.Submit(spec)
-		if err != nil {
-			code := http.StatusBadRequest
-			if errors.Is(err, ErrDraining) {
-				code = http.StatusServiceUnavailable
-			}
-			httpError(w, code, err)
-			return
+		switch {
+		case err == nil:
+			return v, http.StatusAccepted, nil
+		case errors.Is(err, ErrDraining):
+			return v, http.StatusServiceUnavailable, err
 		}
-		writeJSON(w, http.StatusAccepted, v)
-	})
+		return v, http.StatusBadRequest, err
+	}))
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.List())
+		WriteJSON(w, http.StatusOK, s.List())
 	})
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		v, ok := s.Get(r.PathValue("id"))
@@ -57,7 +53,7 @@ func NewHandler(s *Scheduler) http.Handler {
 			httpError(w, http.StatusNotFound, fmt.Errorf("jobd: no job %q", r.PathValue("id")))
 			return
 		}
-		writeJSON(w, http.StatusOK, v)
+		WriteJSON(w, http.StatusOK, v)
 	})
 	mux.HandleFunc("GET /jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
@@ -74,7 +70,7 @@ func NewHandler(s *Scheduler) http.Handler {
 		// The provenance manifest is attached at serve time only: it is
 		// machine-dependent (CPU count, VCS revision) and must never
 		// enter the WAL, where it would poison resumed runs' records.
-		writeJSON(w, http.StatusOK, struct {
+		WriteJSON(w, http.StatusOK, struct {
 			ID      string       `json:"id"`
 			RunInfo obs.RunInfo  `json:"run_info"`
 			Summary *Summary     `json:"summary"`
@@ -140,24 +136,24 @@ func NewHandler(s *Scheduler) http.Handler {
 		id := r.PathValue("id")
 		if err := s.Cancel(id); err != nil {
 			code := http.StatusConflict
-			if strings.Contains(err.Error(), "no job") {
+			if errors.Is(err, ErrNoJob) {
 				code = http.StatusNotFound
 			}
 			httpError(w, code, err)
 			return
 		}
 		v, _ := s.Get(id)
-		writeJSON(w, http.StatusOK, v)
+		WriteJSON(w, http.StatusOK, v)
 	})
 	mux.HandleFunc("GET /jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		s.serveEvents(w, r)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		if s.Draining() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+			WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	return mux
 }
@@ -213,8 +209,35 @@ func (s *Scheduler) serveEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeJSON encodes v as the response body.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// JSONRoute adapts a request → (response, HTTP status, error) call into
+// a POST handler: the body is capped at MaxBodyBytes (413 beyond) and
+// decoded strictly (unknown fields are a 400), and the response or the
+// error is written as JSON with the status the call chose.
+func JSONRoute[Req, Resp any](call func(Req) (Resp, int, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, code, fmt.Errorf("jobd: decoding %T: %w", req, err))
+			return
+		}
+		resp, code, err := call(req)
+		if err != nil {
+			httpError(w, code, err)
+			return
+		}
+		WriteJSON(w, code, resp)
+	}
+}
+
+// WriteJSON encodes v as the response body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	//lint:ignore bareerr a failed response write means the client hung up; nothing to recover
@@ -223,5 +246,5 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // httpError writes a JSON error body.
 func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -345,5 +346,32 @@ func TestServerHealthzReportsDraining(t *testing.T) {
 	}
 	if resp, _ := postJSON(t, srv.URL+"/jobs", fmt.Sprintf(`{"type":"array","seed":1,"cells":1}`)); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestServerCancelStatusCodes: cancelling an unknown job is a 404
+// (matched on ErrNoJob, not on message text) and cancelling a finished
+// one is a 409.
+func TestServerCancelStatusCodes(t *testing.T) {
+	s, srv := newTestServer(t)
+	if resp, body := postJSON(t, srv.URL+"/jobs/job-999999/cancel", ""); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("cancel of an unknown job: %d %s, want 404", resp.StatusCode, body)
+	}
+	id := submitAndFinish(t, s, srv.URL)
+	if resp, body := postJSON(t, srv.URL+"/jobs/"+id+"/cancel", ""); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("cancel of a done job: %d %s, want 409", resp.StatusCode, body)
+	}
+	if err := s.Cancel("job-999999"); !errors.Is(err, ErrNoJob) {
+		t.Fatalf("Cancel of an unknown job returned %v, want ErrNoJob", err)
+	}
+}
+
+// TestServerRejectsOversizedSpec: a job spec beyond MaxBodyBytes is
+// refused with 413 before it is decoded.
+func TestServerRejectsOversizedSpec(t *testing.T) {
+	_, srv := newTestServer(t)
+	body := `{"type":"array","cells":1,"pattern":"` + strings.Repeat("0", MaxBodyBytes) + `"}`
+	if resp, _ := postJSON(t, srv.URL+"/jobs", body); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: %d, want 413", resp.StatusCode)
 	}
 }

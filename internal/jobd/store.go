@@ -17,9 +17,9 @@ import (
 // CellRecord is the JSON-safe checkpoint of one completed array cell.
 // It mirrors montecarlo.CellOutcome minus the error field: only cells
 // that finished without a simulation error are checkpointed, so the
-// round trip CellOutcome → CellRecord → CellOutcome is lossless —
-// including bit-exact float64 fields, because encoding/json emits the
-// shortest representation that parses back to the identical bits.
+// record holds the whole outcome — including bit-exact float64 fields,
+// because encoding/json emits the shortest representation that parses
+// back to the identical bits.
 type CellRecord struct {
 	Index     int                `json:"index"`
 	VtShift   map[string]float64 `json:"vt_shift,omitempty"`
@@ -53,18 +53,26 @@ func NewCellRecord(o montecarlo.CellOutcome) CellRecord {
 	}
 }
 
-// Outcome converts the checkpoint back into the montecarlo outcome.
-func (c CellRecord) Outcome() montecarlo.CellOutcome {
-	return montecarlo.CellOutcome{
-		Index:       c.Index,
-		VtShift:     c.VtShift,
-		TrapCount:   c.TrapCount,
-		Errors:      c.Errors,
-		Slow:        c.Slow,
-		Failed:      c.Failed,
-		LogLR:       c.LogLR,
-		GlitchDepth: c.GlitchDepth,
+// Equal compares two checkpoints of the same cell bit-wise: all integer
+// fields, and every float (VtShift, LogLR, GlitchDepth) via
+// Float64bits. This is the lease protocol's determinism assertion — two
+// executors simulating the same (seed, index) must produce
+// indistinguishable records.
+func (c CellRecord) Equal(o CellRecord) bool {
+	if c.Index != o.Index || c.TrapCount != o.TrapCount ||
+		c.Errors != o.Errors || c.Slow != o.Slow || c.Failed != o.Failed ||
+		math.Float64bits(c.LogLR) != math.Float64bits(o.LogLR) ||
+		math.Float64bits(c.GlitchDepth) != math.Float64bits(o.GlitchDepth) ||
+		len(c.VtShift) != len(o.VtShift) {
+		return false
 	}
+	for k, cv := range c.VtShift {
+		ov, ok := o.VtShift[k]
+		if !ok || math.Float64bits(cv) != math.Float64bits(ov) {
+			return false
+		}
+	}
+	return true
 }
 
 // record is one WAL line. Rec selects which optional fields are set.
@@ -340,7 +348,7 @@ func (s *Store) Compact(jobs []*Job) error {
 			if err := writeRec(record{Rec: "job", ID: j.ID, Seq: j.Seq, Spec: &spec}); err != nil {
 				return err
 			}
-			for _, c := range j.cellRecords() {
+			for _, c := range j.Records() {
 				c := c
 				if err := writeRec(record{Rec: "cell", ID: j.ID, Cell: &c}); err != nil {
 					return err

@@ -76,7 +76,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if got.Result == nil || got.Result.NumFailed != 1 || got.Result.ErrorRate != 0.125 {
 		t.Fatalf("replayed result %+v", got.Result)
 	}
-	cells := got.cellRecords()
+	cells := got.Records()
 	if len(cells) != 1 {
 		t.Fatalf("replayed %d cells", len(cells))
 	}
@@ -111,8 +111,8 @@ func TestStoreRunningJobReplaysAsQueued(t *testing.T) {
 	if replayed[0].State != StateQueued {
 		t.Fatalf("crashed running job replayed as %s, want queued", replayed[0].State)
 	}
-	if replayed[0].cellsDone() != 1 {
-		t.Fatalf("checkpointed cells lost: %d", replayed[0].cellsDone())
+	if replayed[0].Done() != 1 {
+		t.Fatalf("checkpointed cells lost: %d", replayed[0].Done())
 	}
 }
 
@@ -142,8 +142,8 @@ func TestStoreTornTailTruncated(t *testing.T) {
 	}
 
 	st2, replayed, _ := mustOpen(t, path)
-	if len(replayed) != 1 || replayed[0].cellsDone() != 1 {
-		t.Fatalf("torn tail corrupted replay: %d jobs, %d cells", len(replayed), replayed[0].cellsDone())
+	if len(replayed) != 1 || replayed[0].Done() != 1 {
+		t.Fatalf("torn tail corrupted replay: %d jobs, %d cells", len(replayed), replayed[0].Done())
 	}
 	// The tail was truncated, so a fresh append starts a clean record.
 	if err := st2.AppendCell(j.ID, CellRecord{Index: 3}); err != nil {
@@ -153,8 +153,8 @@ func TestStoreTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, replayed3, _ := mustOpen(t, path)
-	if replayed3[0].cellsDone() != 2 {
-		t.Fatalf("post-truncation append lost: %d cells", replayed3[0].cellsDone())
+	if replayed3[0].Done() != 2 {
+		t.Fatalf("post-truncation append lost: %d cells", replayed3[0].Done())
 	}
 }
 

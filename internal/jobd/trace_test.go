@@ -277,7 +277,7 @@ func TestRetryRunnerNotifiesOnRetry(t *testing.T) {
 		}
 		return 1, 2, 3, nil
 	}
-	wrapped := retryRunner(run, RetrySpec{Max: 3, BackoffMS: 1, MaxBackoffMS: 1},
+	wrapped, _ := retryRunners(run, nil, RetrySpec{Max: 3, BackoffMS: 1, MaxBackoffMS: 1},
 		func(seed uint64, attempt int, err error) {
 			if seed != 77 || err == nil {
 				t.Errorf("onRetry(seed=%d, err=%v)", seed, err)
@@ -296,10 +296,10 @@ func TestRetryRunnerNotifiesOnRetry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	reported := false
-	wrapped = retryRunner(
+	wrapped, _ = retryRunners(
 		func(ctx context.Context, cell sram.CellConfig, pattern sram.Pattern, scale float64, seed uint64) (int, int, int, error) {
 			return 0, 0, 0, ctx.Err()
-		},
+		}, nil,
 		RetrySpec{Max: 3, BackoffMS: 1, MaxBackoffMS: 1},
 		func(uint64, int, error) { reported = true })
 	if _, _, _, err := wrapped(ctx, sram.CellConfig{}, sram.Pattern{}, 1, 1); !errors.Is(err, context.Canceled) {

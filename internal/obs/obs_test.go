@@ -316,42 +316,6 @@ func TestMultiSink(t *testing.T) {
 	}
 }
 
-func TestSpanNestingAndRecording(t *testing.T) {
-	cap := &captureSink{}
-	prev := SetSink(cap)
-	defer SetSink(prev)
-
-	root := StartSpan("test_run")
-	child := root.Child("phase1")
-	if child.Name() != "test_run/phase1" {
-		t.Fatalf("child name = %q", child.Name())
-	}
-	if d := child.End(); d < 0 {
-		t.Fatalf("duration = %v", d)
-	}
-	root.End()
-
-	names := cap.names()
-	if len(names) != 2 || names[0] != "span" || names[1] != "span" {
-		t.Fatalf("span events = %v", names)
-	}
-	// Durations land in the labelled histogram of the default registry.
-	snap := spanSeconds("test_run/phase1").Snapshot()
-	if snap.Count != 1 {
-		t.Fatalf("span histogram count = %d, want 1", snap.Count)
-	}
-}
-
-func TestNilSpanIsInert(t *testing.T) {
-	var s *Span
-	if s.Name() != "" || s.End() != 0 {
-		t.Fatal("nil span not inert")
-	}
-	if c := s.Child("x"); c == nil || c.Name() != "x" {
-		t.Fatal("nil span Child should start a root span")
-	}
-}
-
 func TestServeMetricsRoundTrip(t *testing.T) {
 	GetCounter("obs_test_roundtrip_total", "test counter").Add(41)
 	srv, err := ServeMetrics("127.0.0.1:0")

@@ -14,18 +14,22 @@
 #   8. assert the job store is non-empty (it is uploaded as a CI
 #      artifact for post-mortems).
 #
-# fabric phase (distributed sweep, internal/fabric):
+# fabric phase (remote workers over the lease protocol, internal/fabric):
 #   1. build samuraid and samuraiw with the race detector,
-#   2. start samuraid -coordinator with a short (1s) lease TTL,
-#   3. submit a 32-cell array job,
+#   2. start samuraid -coordinator (no in-process executors) with a
+#      short (1s) lease TTL,
+#   3. submit a 32-cell array job and subscribe to its event stream,
 #   4. start two workers: one rigged to hard-exit (no drain, no
 #      release) after 2 checkpoints, one healthy with -once,
 #   5. assert the chaos worker dies with its rigged exit code, the
 #      coordinator steals its abandoned lease, and the healthy worker
 #      sweeps the job to done anyway,
-#   6. snapshot GET /fabric/status to fabric_status.json (a CI
+#   6. assert the remote cells went through the single-node job
+#      instrumentation: GET /jobs/{id}/events streamed jobd.cell events
+#      and the done state, and samurai_jobd_cells_checkpointed_total > 0,
+#   7. snapshot GET /fabric/status to fabric_status.json (a CI
 #      artifact) and assert steals_total >= 1 and the job is done,
-#   7. SIGTERM the coordinator and assert a clean drain.
+#   8. SIGTERM the coordinator and assert a clean drain.
 #
 # Run from the repository root:
 #   ./scripts/smoke_samuraid.sh [service|fabric|all] [workdir]
@@ -194,6 +198,7 @@ fabric_phase() {
     local chaos_log="$WORKDIR/worker_chaos.log"
     local steady_log="$WORKDIR/worker_steady.log"
     local status_json="$WORKDIR/fabric_status.json"
+    local events="$WORKDIR/fabric_events.ndjson"
 
     echo "== [fabric] building samuraid + samuraiw (race detector on)"
     go build -race -o "$dbin" ./cmd/samuraid
@@ -212,6 +217,11 @@ fabric_phase() {
     echo "== [fabric] submitting a 32-cell array job"
     local job_id
     job_id="$(submit_job "$addr" '{"type":"array","seed":99,"cells":32,"workers":1,"with_rtn":false}')"
+
+    # The stream ends by itself when the job reaches a terminal state.
+    curl -sN --max-time 300 "http://$addr/jobs/$job_id/events" >"$events" &
+    local events_pid=$!
+    PIDS+=("$events_pid")
 
     # The chaos worker is rigged to hard-exit (no drain, no lease
     # release) after 2 acknowledged checkpoints — the fabric must
@@ -245,6 +255,17 @@ fabric_phase() {
         exit 1
     }
     echo "   steady worker swept the remainder and exited cleanly"
+
+    echo "== [fabric] checking the job's event stream and jobd metrics"
+    wait "$events_pid" || { echo "event stream for $job_id failed:" >&2; cat "$events" >&2; exit 1; }
+    grep -q '"event":"jobd.cell"' "$events" || { echo "event stream carried no jobd.cell events:" >&2; cat "$events" >&2; exit 1; }
+    grep -q '"state":"done"' "$events" || { echo "event stream never reported the job done:" >&2; cat "$events" >&2; exit 1; }
+    local checkpointed
+    checkpointed="$(curl -sS --max-time 10 "http://$addr/metrics" | awk '/^samurai_jobd_cells_checkpointed_total/ {print $2}')"
+    case "$checkpointed" in
+        ''|0) echo "coordinator samurai_jobd_cells_checkpointed_total is '$checkpointed' after a 32-cell job" >&2; exit 1 ;;
+    esac
+    echo "   $(grep -c '"event":"jobd.cell"' "$events") jobd.cell events streamed, $checkpointed cells checkpointed"
 
     echo "== [fabric] snapshotting /fabric/status"
     curl -sS --max-time 10 "http://$addr/fabric/status" -o "$status_json"
