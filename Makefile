@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint lint-bench suppressions check bench bench-smoke bench-json smoke-service smoke-fabric vv vv-rare cover fuzz-smoke
+.PHONY: build test vet race lint lint-bench suppressions check bench bench-smoke bench-json bench-golden smoke-service smoke-fabric vv vv-rare cover fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -35,7 +35,7 @@ lint-bench:
 	if [ $$dur -gt 60 ]; then echo "lint-bench: sweep exceeded 60s" >&2; exit 1; fi
 
 # check is the full local gate — identical to what CI runs on every PR.
-check: build test vet race lint suppressions bench-smoke vv vv-rare cover
+check: build test vet race lint suppressions bench-smoke bench-golden vv vv-rare cover
 
 # vv runs the statistical conformance matrix (DESIGN.md §10): simulated
 # occupancy/dwell/transition statistics against the closed-form master
@@ -87,6 +87,15 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ . > bench.txt
 	@tail -n 3 bench.txt
+
+# bench-golden runs the samuraibench module's tests, then a short
+# untraced pass of all five workloads at seed 1, whose first ops must
+# reproduce the golden digests in cmd/samuraibench/testdata. The
+# benchmark is a Go module of its own, so `go test ./...` here never
+# sees it.
+bench-golden:
+	$(GO) -C cmd/samuraibench test -short ./...
+	bash cmd/samuraibench/run.sh -seed 1 -seconds 2 -trace 0
 
 # bench-json records the machine-readable benchmark trajectory: a real
 # (multi-iteration) -benchmem run parsed into BENCH_10.json, diffed

@@ -3,7 +3,8 @@
 # build, tests, go vet, race detector (short mode), samurailint, a
 # one-iteration benchmark smoke run (output kept in bench.txt), the
 # statistical conformance matrix (vv_report.json) and a coverage
-# summary (coverage.out).
+# summary (coverage.out), plus the samuraibench tests and a short
+# benchmark pass checked against its golden digests.
 set -eu
 cd "$(dirname "$0")"
 
@@ -16,6 +17,10 @@ go run ./cmd/samurailint ./...
 # waiver must carry its own non-empty, non-copy-pasted justification.
 go run ./cmd/samurailint -suppressions ./...
 go test -bench=. -benchtime=1x -run='^$' . > bench.txt
+# The end-to-end benchmark is a module of its own: its tests, then a
+# short pass of every workload checked against the golden digests.
+go -C cmd/samuraibench test -short ./...
+bash cmd/samuraibench/run.sh -seed 1 -seconds 2 -trace 0
 
 # Statistical V&V (DESIGN.md §10): distribution-level conformance of
 # the sampled paths against the closed-form master equation. Exits

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -259,9 +260,13 @@ func TestScaleZeroWhenRTNDisabled(t *testing.T) {
 		Pattern: sram.Fig8Pattern(tech.Vdd),
 		Cells:   2, Seed: 1, Scale: 30, WithRTN: false,
 	}
+	// The two cells run on concurrent workers, so the write is locked.
+	var mu sync.Mutex
 	sawScale := -1.0
 	_, err := RunArray(cfg, func(_ sram.CellConfig, _ sram.Pattern, scale float64, _ uint64) (int, int, int, error) {
+		mu.Lock()
 		sawScale = scale
+		mu.Unlock()
 		return 0, 0, 0, nil
 	})
 	if err != nil {

@@ -9,6 +9,7 @@ package rtn
 
 import (
 	"errors"
+	"math"
 	"sort"
 
 	"samurai/internal/device"
@@ -37,7 +38,9 @@ type Trace struct {
 
 // NFilled aggregates trap paths into the piecewise-constant count of
 // filled traps. The returned times/counts satisfy: counts[i] holds on
-// [times[i], times[i+1]).
+// [times[i], times[i+1]), and times[0] is the earliest path start (0
+// when there are no paths). Compose does not build it; it is the
+// reference step function that CountAt evaluates.
 func NFilled(paths []*markov.Path) (times []float64, counts []int) {
 	type event struct {
 		t     float64
@@ -45,11 +48,7 @@ func NFilled(paths []*markov.Path) (times []float64, counts []int) {
 	}
 	var events []event
 	n0 := 0
-	start := 0.0
 	for _, p := range paths {
-		if p.Begin() < start || len(events) == 0 {
-			start = p.Begin()
-		}
 		if p.Filled[0] {
 			n0++
 		}
@@ -62,7 +61,7 @@ func NFilled(paths []*markov.Path) (times []float64, counts []int) {
 		}
 	}
 	sort.Slice(events, func(i, j int) bool { return events[i].t < events[j].t })
-	times = append(times, start)
+	times = append(times, earliestBegin(paths))
 	counts = append(counts, n0)
 	cur := n0
 	for _, e := range events {
@@ -94,9 +93,29 @@ func CountAt(times []float64, counts []int, t float64) int {
 	return counts[i-1]
 }
 
+// earliestBegin returns the earliest path start, or 0 without paths.
+func earliestBegin(paths []*markov.Path) float64 {
+	start := 0.0
+	for k, p := range paths {
+		if k == 0 || p.Begin() < start {
+			start = p.Begin()
+		}
+	}
+	return start
+}
+
 // Compose builds the sampled I_RTN trace per Eq (3) for a device with
 // trap paths, gate-bias waveform vgs and drain-current waveform id,
-// sampled at n uniform instants over [t0, t1].
+// sampled at the n instants t_i = t0 + float64(i)·dt, dt = (t1−t0)/(n−1).
+//
+// Sample instant rule: sample i counts every path's initial state and
+// every transition at τ ≤ t_i, compared against t_i as that expression
+// rounds it. Samples before the earliest path start take the count at
+// that start. The filled count at t_i is therefore exactly
+// CountAt(NFilled(paths), t_i), without building NFilled: each
+// transition is added into a per-sample difference array at the first
+// sample that sees it, and one prefix sum over the samples recovers
+// N_filled, so the cost is O(E + n) for E transitions.
 func Compose(paths []*markov.Path, dev device.MOSParams, vgs, id *waveform.PWL, t0, t1 float64, n int) (*Trace, error) {
 	if n < 2 {
 		return nil, errors.New("rtn: need at least two samples")
@@ -104,34 +123,86 @@ func Compose(paths []*markov.Path, dev device.MOSParams, vgs, id *waveform.PWL, 
 	if t1 <= t0 {
 		return nil, errors.New("rtn: empty time interval")
 	}
-	times, counts := NFilled(paths)
-	mTraces.Inc()
-	mTraceSamples.Add(int64(n))
-	mTraceTransitions.Add(int64(len(times) - 1))
 	tr := &Trace{T: make([]float64, n), I: make([]float64, n)}
 	dt := (t1 - t0) / float64(n-1)
-	idx := 0
+	for i := range tr.T {
+		tr.T[i] = t0 + float64(i)*dt
+	}
+	// Until the sweep below reaches sample i, tr.I[i] is the difference
+	// array: the net change in filled traps from the transitions that
+	// sample i is the first to see. Its entries are integers far below
+	// 2⁵³, so float64 holds them exactly.
+	start := earliestBegin(paths)
+	filled, transitions := 0, 0
+	for _, p := range paths {
+		if p.Filled[0] {
+			filled++
+		}
+		transitions += len(p.Times) - 1
+		for k := 1; k < len(p.Times); k++ {
+			i := 0
+			if p.Times[k] > start {
+				i = firstSampleAtOrAfter(tr.T, t0, dt, p.Times[k])
+			}
+			if i == n {
+				continue
+			}
+			if p.Filled[k] {
+				tr.I[i]++
+			} else {
+				tr.I[i]--
+			}
+		}
+	}
+	mTraces.Inc()
+	mTraceSamples.Add(int64(n))
+	mTraceTransitions.Add(int64(transitions))
 	// The sample sweep is monotone, so cursors make each bias lookup
 	// O(1) amortised instead of a binary search per sample.
 	vgsCur := vgs.Cursor()
 	idCur := id.Cursor()
-	for i := 0; i < n; i++ {
-		t := t0 + float64(i)*dt
-		tr.T[i] = t
-		for idx+1 < len(times) && times[idx+1] <= t {
-			idx++
-		}
-		nf := 0
-		if len(counts) > 0 {
-			nf = counts[idx]
-		}
-		if nf == 0 {
+	// CarrierCount is a pure function of the gate bias, so a sample
+	// whose bias repeats the previous evaluated one bit for bit reuses
+	// its W·L·N(t): on a piecewise-constant bias almost every sample does.
+	var vPrev, carriers float64
+	memo := false
+	for i, t := range tr.T {
+		filled += int(tr.I[i])
+		if filled == 0 {
+			tr.I[i] = 0
 			continue
 		}
-		carriers := dev.CarrierCount(vgsCur.Eval(t)) // W·L·N(t)
-		tr.I[i] = idCur.Eval(t) / carriers * float64(nf)
+		v := vgsCur.Eval(t)
+		if !memo || math.Float64bits(v) != math.Float64bits(vPrev) {
+			vPrev, carriers, memo = v, dev.CarrierCount(v), true
+		}
+		tr.I[i] = idCur.Eval(t) / carriers * float64(filled)
 	}
 	return tr, nil
+}
+
+// firstSampleAtOrAfter returns the first i with ts[i] ≥ tau, or
+// len(ts) if there is none, for the nondecreasing sample instants
+// ts[i] = t0 + float64(i)·dt. The quotient (tau−t0)/dt only estimates
+// i; rounding can put it a step or two off, so the walks settle it
+// against the sample instants themselves.
+func firstSampleAtOrAfter(ts []float64, t0, dt, tau float64) int {
+	last := len(ts) - 1
+	if !(tau > ts[0]) {
+		return 0
+	}
+	if tau > ts[last] {
+		return last + 1
+	}
+	// Here ts[0] < tau ≤ ts[last], so both walks stop inside [1, last].
+	i := min(max(int(math.Ceil((tau-t0)/dt)), 1), last)
+	for ts[i-1] >= tau {
+		i--
+	}
+	for ts[i] < tau {
+		i++
+	}
+	return i
 }
 
 // ComposeConstant is Compose for constant bias: vgs and id fixed. It is

@@ -2,6 +2,7 @@ package rtn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"samurai/internal/device"
@@ -46,6 +47,26 @@ func TestNFilledSuperposition(t *testing.T) {
 	for tt, want := range cases {
 		if got := CountAt(times, counts, tt); got != want {
 			t.Fatalf("count at %g = %d, want %d", tt, got, want)
+		}
+	}
+}
+
+func TestNFilledStartsAtEarliestPath(t *testing.T) {
+	cases := []struct {
+		name   string
+		paths  []*markov.Path
+		times  []float64
+		counts []int
+	}{
+		{"transition-free path first", []*markov.Path{pathWith(0, 5, false), pathWith(1, 5, false, 2)}, []float64{0, 2}, []int{0, 1}},
+		{"no transitions", []*markov.Path{pathWith(0, 5, false), pathWith(3, 5, true)}, []float64{0}, []int{1}},
+		{"flip at a later path's start", []*markov.Path{pathWith(0, 5, false), pathWith(1, 5, false, 1)}, []float64{0, 1}, []int{0, 1}},
+		{"no paths", nil, []float64{0}, []int{0}},
+	}
+	for _, tc := range cases {
+		times, counts := NFilled(tc.paths)
+		if !slices.Equal(times, tc.times) || !slices.Equal(counts, tc.counts) {
+			t.Errorf("%s: NFilled = %v %v, want %v %v", tc.name, times, counts, tc.times, tc.counts)
 		}
 	}
 }
