@@ -2,6 +2,11 @@
 // evaluation (the same drivers the benchmark harness uses) and prints
 // them in order. EXPERIMENTS.md records a snapshot of this output.
 //
+// fig7 is also the paper's validation of Algorithm 1 against the
+// analytical stationary R(τ) and S(f): each sweep prints a status line,
+// and figures exits non-zero when a sweep's worst R(τ) error exceeds
+// 0.10 or its worst S(f) error exceeds 0.25.
+//
 // Example:
 //
 //	figures -only fig8,x2
@@ -15,6 +20,12 @@ import (
 	"strings"
 
 	"samurai/internal/experiments"
+)
+
+// Fig 7 validation limits on each sweep's worst relative error.
+const (
+	fig7AccTol = 0.10 // R(τ)
+	fig7PSDTol = 0.25 // S(f)
 )
 
 type figure struct {
@@ -66,6 +77,7 @@ func main() {
 			return nil
 		}},
 		{"fig7", func(s uint64) error {
+			var failed []string
 			for _, sweep := range []experiments.Fig7Sweep{
 				experiments.SweepVgs, experiments.SweepEtr, experiments.SweepYtr,
 			} {
@@ -74,11 +86,22 @@ func main() {
 					return err
 				}
 				res.WriteText(os.Stdout)
+				acc, psd := res.MaxErr()
+				status := "PASS"
+				if acc > fig7AccTol || psd > fig7PSDTol {
+					status = "FAIL"
+					failed = append(failed, string(sweep))
+				}
+				fmt.Printf("sweep %s: max R(tau) err %.4f (tol %.2f), max S(f) err %.4f (tol %.2f) — %s\n",
+					sweep, acc, fig7AccTol, psd, fig7PSDTol, status)
 				if *csvDir != "" {
 					if err := res.WriteCurvesCSV(*csvDir); err != nil {
 						return err
 					}
 				}
+			}
+			if len(failed) > 0 {
+				return fmt.Errorf("validation error beyond tolerance in sweep(s) %s", strings.Join(failed, ", "))
 			}
 			return nil
 		}},

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 
 	"samurai/internal/device"
@@ -73,31 +74,13 @@ func main() {
 	}
 	log.Printf("device %s W=%.0fnm L=%.0fnm, %d traps", *techName, dev.W*1e9, dev.L*1e9, len(profile.Traps))
 
-	var bias markov.BiasFunc
+	// One bias waveform drives both Algorithm 1 and Eq (3), so the
+	// traps and the trace amplitude see the same V_gs at every instant.
 	var vgsWave *waveform.PWL
 	switch {
 	case *sqLo >= 0 && *sqHi >= 0:
-		lo, hi, p := *sqLo, *sqHi, *period
-		bias = func(t float64) float64 {
-			if int(t/(p/2))%2 == 0 {
-				return hi
-			}
-			return lo
-		}
-		// Dense PWL mirror of the square wave for Eq (3).
-		n := int(*duration / (p / 2))
-		ts := make([]float64, 0, 2*n+2)
-		vs := make([]float64, 0, 2*n+2)
-		for k := 0; k*int(1) <= n; k++ {
-			t := float64(k) * p / 2
-			if t > *duration {
-				break
-			}
-			ts = append(ts, t)
-			vs = append(vs, bias(t+p/4))
-		}
 		var err error
-		vgsWave, err = waveform.New(ts, vs)
+		vgsWave, err = squareWave(*sqLo, *sqHi, *period, *duration, *duration/float64(*samples))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -106,13 +89,12 @@ func main() {
 		if v < 0 {
 			v = tech.Vdd
 		}
-		bias = markov.ConstantBias(v)
 		vgsWave = waveform.Constant(v)
 	}
 
 	sctx, span := trace.Start(context.Background(), "rtngen")
 	_, uni := trace.Start(sctx, "uniformise")
-	paths, err := markov.UniformiseProfile(profile, bias, 0, *duration, root.Split(2))
+	paths, err := markov.UniformiseProfileBatch(profile, vgsWave, 0, *duration, root.Split(2))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -141,4 +123,29 @@ func main() {
 	if err := w.Flush(); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// edgeRiseFrac is a square-wave edge's rise time as a fraction of the
+// shorter of the half period and the sample spacing.
+const edgeRiseFrac = 1e-6
+
+// squareWave is a square-wave bias starting high, with an edge every
+// half period up to the trace end. Each edge rises over edgeRiseFrac of
+// the shorter of the half period and the sample spacing, so the wave
+// is flat at every sample instant except one landing inside an edge.
+func squareWave(lo, hi, period, duration, spacing float64) (*waveform.PWL, error) {
+	if period <= 0 {
+		return nil, fmt.Errorf("square-wave period %g s must be positive", period)
+	}
+	half := period / 2
+	times, vals := []float64{0}, []float64{hi}
+	for k := 1; float64(k)*half < duration; k++ {
+		v := hi
+		if k%2 == 1 {
+			v = lo
+		}
+		times = append(times, float64(k)*half)
+		vals = append(vals, v)
+	}
+	return waveform.Step(times, vals, edgeRiseFrac*math.Min(half, spacing))
 }

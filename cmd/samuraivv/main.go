@@ -1,8 +1,9 @@
 // Command samuraivv runs the statistical verification-and-validation
-// conformance matrix (see internal/vv) against the production simulator
-// and emits a JSON report: per-scenario gates with statistic, p-value,
-// threshold and pass/fail. The exit code is 0 when every gate passes,
-// 1 when any gate rejects the simulator, 2 on usage or runtime errors.
+// conformance matrix (see internal/vv) against the production trap
+// kernel (markov.BatchState) and emits a JSON report: per-scenario
+// gates with statistic, p-value, threshold and pass/fail. The exit code
+// is 0 when every gate passes, 1 when any gate rejects the simulator, 2
+// on usage or runtime errors.
 //
 // For a fixed -seed the report is bit-identical across runs and
 // machines: all sampling derives from split rng.Streams and every
@@ -12,16 +13,8 @@
 //
 // Usage:
 //
-//	samuraivv [-seed N] [-alpha A] [-kernel sequential|batch]
-//	          [-e2e=false] [-e2e-runs N] [-rare]
+//	samuraivv [-seed N] [-alpha A] [-e2e=false] [-e2e-runs N] [-rare]
 //	          [-o report.json] [-metrics]
-//
-// -kernel batch draws every scenario ensemble through the batched SoA
-// uniformisation kernel (markov.BatchState) instead of per-path
-// markov.Uniformise calls. The two kernels derive per-path streams
-// identically, so for the same seed the two reports differ only in the
-// "kernel" field — CI runs both and diffs them to pin the batch
-// kernel's statistical conformance.
 package main
 
 import (
@@ -44,7 +37,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	seed := fs.Uint64("seed", 1, "master seed; the report is a pure function of it")
 	alpha := fs.Float64("alpha", vv.DefaultAlpha, "report-wide false-positive budget")
-	kernel := fs.String("kernel", vv.KernelSequential, "sampling kernel for scenario ensembles: sequential or batch")
 	e2e := fs.Bool("e2e", true, "also run the end-to-end samurai.Run suite")
 	rare := fs.Bool("rare", false, "also run the rare-event unbiasedness battery (importance-sampling gates)")
 	e2eRuns := fs.Int("e2e-runs", 0, "end-to-end methodology runs (0 = default)")
@@ -57,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rep, err := vv.RunMatrix(vv.Options{
 		Seed:    *seed,
 		Alpha:   *alpha,
-		Kernel:  *kernel,
 		E2E:     *e2e,
 		E2ERuns: *e2eRuns,
 		Rare:    *rare,

@@ -53,7 +53,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			paths, err := markov.UniformiseProfile(profile, markov.PWLBias(vgs), 0, total, root.Split(uint64(20+i)))
+			paths, err := markov.UniformiseProfileBatch(profile, vgs, 0, total, root.Split(uint64(20+i)))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -11,6 +11,7 @@ import (
 	"samurai/internal/rng"
 	"samurai/internal/rtn"
 	"samurai/internal/trap"
+	"samurai/internal/waveform"
 )
 
 // Fig3Device is the spectral analysis of one sampled device instance.
@@ -131,7 +132,7 @@ func fig3Tech(name string, wOverL float64, cfg Fig3Config, root *rng.Stream) (*F
 				sim.Traps = append(sim.Traps, tr)
 			}
 		}
-		paths, err := markov.UniformiseProfile(sim, markov.ConstantBias(vgs), 0, cfg.Window, r.Split(1))
+		paths, err := markov.UniformiseProfileBatch(sim, waveform.Constant(vgs), 0, cfg.Window, r.Split(1))
 		if err != nil {
 			return nil, err
 		}

@@ -276,7 +276,7 @@ func validateTrap(ctx trap.Context, tr trap.Trap, vgs float64, dev device.MOSPar
 	}, nil
 }
 
-// WriteText renders the sweep as the table printed by cmd/validate and
+// WriteText renders the sweep as the table printed by cmd/figures and
 // recorded in EXPERIMENTS.md.
 func (r *Fig7Result) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "Fig 7 validation — sweep %s (constant bias, Algorithm 1 vs analytical)\n", r.Sweep)

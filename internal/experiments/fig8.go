@@ -194,7 +194,7 @@ func occupancyStats(name string, run *samurai.Result, gateNode string, vdd float
 			paths = run.Paths[name] // the headline population
 		} else {
 			profile := profiler.Sample(devParams.W, devParams.L, ctx, root.Split(uint64(2*k)))
-			paths, err = markov.UniformiseProfile(profile, markov.PWLBias(vgs), t0, t1, root.Split(uint64(2*k+1)))
+			paths, err = markov.UniformiseProfileBatch(profile, vgs, t0, t1, root.Split(uint64(2*k+1)))
 			if err != nil {
 				return Fig8Occupancy{}, err
 			}

@@ -319,7 +319,7 @@ func X4(cfg X4Config) (*X4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		paths, err := markov.UniformiseProfile(profile, markov.PWLBias(vgs), 0, cfg.Horizon, root.Split(uint64(100+i)))
+		paths, err := markov.UniformiseProfileBatch(profile, vgs, 0, cfg.Horizon, root.Split(uint64(100+i)))
 		if err != nil {
 			return nil, err
 		}

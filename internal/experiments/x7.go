@@ -125,7 +125,7 @@ func X7(cfg X7Config) (*X7Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			paths, err := markov.UniformiseProfile(profile, markov.PWLBias(vgs), 0, t1, r.Split(uint64(20+i)))
+			paths, err := markov.UniformiseProfileBatch(profile, vgs, 0, t1, r.Split(uint64(20+i)))
 			if err != nil {
 				return nil, err
 			}

@@ -338,24 +338,20 @@ func (bs *BatchState) advanceRamp(k int, p *Path, t, segEnd, s0, s1, v0, v1 floa
 	return t
 }
 
-// UniformiseBatch advances every trap of a profile over [t0, tf] as one
-// batch. One-shot convenience over BatchState.Run; loops that simulate
-// many profiles should hold a BatchState and call Run to reuse the
-// workspace.
-func UniformiseBatch(tctx trap.Context, traps []trap.Trap, bias *waveform.PWL, t0, tf float64, r *rng.Stream) ([]*Path, error) {
-	return NewBatchState().Run(tctx, traps, bias, t0, tf, r)
-}
-
-// UniformiseProfileBatch is the batched equivalent of
-// UniformiseProfile: identical paths (lane k ≡ Split(k) sequential),
-// one shared segment walk.
+// UniformiseProfileBatch advances every trap of a profile over [t0, tf]
+// as one batch: identical paths to UniformiseProfile (lane k ≡ Split(k)
+// sequential), one shared segment walk. One-shot convenience over
+// BatchState.Run; loops that simulate many profiles should hold a
+// BatchState and call Run to reuse the workspace.
 func UniformiseProfileBatch(pr trap.Profile, bias *waveform.PWL, t0, tf float64, r *rng.Stream) ([]*Path, error) {
-	return UniformiseBatch(pr.Ctx, pr.Traps, bias, t0, tf, r)
+	return NewBatchState().Run(pr.Ctx, pr.Traps, bias, t0, tf, r)
 }
 
 // UniformiseProfileBatchCtx is UniformiseProfileBatch under a traced
-// context, emitting the same markov.uniformise span as the sequential
-// path so span-shape goldens are unaffected by kernel choice.
+// context: the whole profile simulation is wrapped in a
+// markov.uniformise span (nested under whatever span tree ctx
+// carries). The span only measures — the paths are bit-identical to
+// UniformiseProfileBatch's for the same stream.
 func UniformiseProfileBatchCtx(ctx context.Context, pr trap.Profile, bias *waveform.PWL, t0, tf float64, r *rng.Stream) ([]*Path, error) {
 	_, span := trace.Start(ctx, "markov.uniformise")
 	defer span.End()

@@ -109,7 +109,7 @@ func TestBatchWorkspaceReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := UniformiseBatch(pr.Ctx, pr.Traps, bias, 0, 5e-4, root)
+		want, err := NewBatchState().Run(pr.Ctx, pr.Traps, bias, 0, 5e-4, root)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestBatchBadInterval(t *testing.T) {
 
 func TestBatchEmptyProfile(t *testing.T) {
 	ctx := testCtx()
-	paths, err := UniformiseBatch(ctx, nil, waveform.Constant(1.2), 0, 1e-4, rng.New(1))
+	paths, err := NewBatchState().Run(ctx, nil, waveform.Constant(1.2), 0, 1e-4, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

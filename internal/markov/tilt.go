@@ -5,7 +5,6 @@ import (
 
 	"samurai/internal/rng"
 	"samurai/internal/trap"
-	"samurai/internal/waveform"
 )
 
 // This file is the importance-sampling variant of Algorithm 1: the
@@ -161,34 +160,4 @@ func UniformiseProfileTilted(pr trap.Profile, vgs BiasFunc, t0, tf, tiltEV float
 		logLR += l
 	}
 	return paths, logLR, nil
-}
-
-// RunTilted is the BatchState entry point of the tilted kernel: one
-// call advances every lane over the horizon and returns per-lane paths
-// and log-likelihood ratios. Lane k derives its stream via
-// parent.SplitInto(k) and delegates to UniformiseTilted — the tilted
-// accept probabilities depend on the lane's own energy shift, so the
-// SoA threshold cache of the untilted fast path does not apply; what
-// the batch surface guarantees is stream-derivation identity: lane k's
-// (path, logLR) is bit-identical to the sequential tilted kernel on
-// parent.Split(k), and at tiltEV == 0 to BatchState.Run itself.
-func (bs *BatchState) RunTilted(tctx trap.Context, traps []trap.Trap, bias *waveform.PWL, t0, tf, tiltEV float64, parent *rng.Stream) ([]*Path, []float64, error) {
-	if tf <= t0 {
-		return nil, nil, ErrBadInterval
-	}
-	n := len(traps)
-	bs.grow(n)
-	paths := make([]*Path, n)
-	logLRs := make([]float64, n)
-	for k := 0; k < n; k++ {
-		parent.SplitInto(uint64(k), &bs.streams[k])
-		cur := bias.Cursor()
-		p, l, err := UniformiseTilted(tctx, traps[k], cur.Eval, t0, tf, tiltEV, &bs.streams[k], nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		paths[k] = p
-		logLRs[k] = l
-	}
-	return paths, logLRs, nil
 }

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -131,61 +132,70 @@ func TestTiltRecordReplaysPath(t *testing.T) {
 	}
 }
 
-// TestRunTiltedMatchesSequential pins the batch tilted surface: lane k
-// must be bit-identical to the sequential tilted kernel on Split(k),
-// and at tilt 0 to BatchState.Run itself.
+// TestRunTiltedMatchesSequential pins the profile-level tilted kernel
+// that samurai.RunCtx calls: trap k must be bit-identical to the
+// sequential tilted kernel on Split(k), the profile log-LR must be the
+// per-trap log-LRs summed in trap order, and at tilt 0 the paths must
+// equal UniformiseProfileBatch's with a log-LR of exactly 0 — the pair
+// of kernels the methodology switches between on Config.TiltEV.
 func TestRunTiltedMatchesSequential(t *testing.T) {
 	ctx := tiltTestCtx()
 	tr := trap.Trap{Y: 0.45 * ctx.Tox, E: 0.05}
 	horizon := 120 / ctx.RateSum(tr)
 	bias := fuzzedPWL(t, rng.New(17), horizon, 5)
-	traps := make([]trap.Trap, 16)
-	for i := range traps {
-		traps[i] = tr
+	pr := trap.Profile{Ctx: ctx, Traps: make([]trap.Trap, 16)}
+	for i := range pr.Traps {
+		pr.Traps[i] = tr
+	}
+	samePaths := func(what string, got, want []*Path) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d paths, want %d", what, len(got), len(want))
+		}
+		for k := range want {
+			if len(got[k].Times) != len(want[k].Times) {
+				t.Fatalf("%s: trap %d transition count differs", what, k)
+			}
+			for i := range want[k].Times {
+				if math.Float64bits(got[k].Times[i]) != math.Float64bits(want[k].Times[i]) {
+					t.Fatalf("%s: trap %d transition %d differs", what, k, i)
+				}
+			}
+		}
 	}
 	for ti, tilt := range []float64{0, -0.06} {
-		zeroTilt := ti == 0
-		bs := NewBatchState()
-		paths, lrs, err := bs.RunTilted(ctx, traps, bias, 0, horizon, tilt, rng.New(23))
+		paths, logLR, err := UniformiseProfileTilted(pr, PWLBias(bias), 0, horizon, tilt, rng.New(23))
 		if err != nil {
 			t.Fatal(err)
 		}
 		parent := rng.New(23)
 		var child rng.Stream
-		for k := range traps {
+		want := make([]*Path, len(pr.Traps))
+		wantLR := 0.0
+		for k := range pr.Traps {
 			parent.SplitInto(uint64(k), &child)
-			want, wantLR, err := UniformiseTilted(ctx, traps[k], PWLBias(bias), 0, horizon, tilt, &child, nil)
+			p, lr, err := UniformiseTilted(ctx, pr.Traps[k], PWLBias(bias), 0, horizon, tilt, &child, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Float64bits(lrs[k]) != math.Float64bits(wantLR) {
-				t.Fatalf("tilt %g lane %d logLR differs", tilt, k)
-			}
-			if len(paths[k].Times) != len(want.Times) {
-				t.Fatalf("tilt %g lane %d transition count differs", tilt, k)
-			}
-			for i := range want.Times {
-				if math.Float64bits(paths[k].Times[i]) != math.Float64bits(want.Times[i]) {
-					t.Fatalf("tilt %g lane %d transition %d differs", tilt, k, i)
-				}
-			}
+			want[k] = p
+			wantLR += lr
 		}
-		if zeroTilt {
-			naive, err := NewBatchState().Run(ctx, traps, bias, 0, horizon, rng.New(23))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := range traps {
-				if len(paths[k].Times) != len(naive[k].Times) {
-					t.Fatalf("tilt-0 lane %d differs from untilted batch kernel", k)
-				}
-				for i := range naive[k].Times {
-					if math.Float64bits(paths[k].Times[i]) != math.Float64bits(naive[k].Times[i]) {
-						t.Fatalf("tilt-0 lane %d transition %d differs from untilted batch", k, i)
-					}
-				}
-			}
+		samePaths(fmt.Sprintf("tilt %g vs sequential", tilt), paths, want)
+		if math.Float64bits(logLR) != math.Float64bits(wantLR) {
+			t.Fatalf("tilt %g: profile logLR %x, want %x", tilt, math.Float64bits(logLR), math.Float64bits(wantLR))
 		}
+		if ti != 0 {
+			continue
+		}
+		if math.Float64bits(logLR) != 0 {
+			t.Fatalf("tilt 0: logLR %g, want exactly 0", logLR)
+		}
+		naive, err := UniformiseProfileBatch(pr, bias, 0, horizon, rng.New(23))
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePaths("tilt 0 vs UniformiseProfileBatch", paths, naive)
 	}
 }
 

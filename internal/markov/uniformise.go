@@ -1,10 +1,8 @@
 package markov
 
 import (
-	"context"
 	"errors"
 
-	"samurai/internal/obs/trace"
 	"samurai/internal/rng"
 	"samurai/internal/trap"
 	"samurai/internal/waveform"
@@ -81,20 +79,13 @@ func Uniformise(ctx trap.Context, tr trap.Trap, vgs BiasFunc, t0, tf float64, r 
 	return p, nil
 }
 
-// UniformiseProfileCtx is UniformiseProfile under a traced context: the
-// whole profile simulation is wrapped in a markov.uniformise span
-// (nested under whatever span tree ctx carries). The span only
-// measures — the simulated paths are bit-identical to
-// UniformiseProfile's for the same stream.
-func UniformiseProfileCtx(ctx context.Context, pr trap.Profile, vgs BiasFunc, t0, tf float64, r *rng.Stream) ([]*Path, error) {
-	_, span := trace.Start(ctx, "markov.uniformise")
-	defer span.End()
-	return UniformiseProfile(pr, vgs, t0, tf, r)
-}
-
-// UniformiseProfile simulates every trap in a profile over [t0, tf].
-// Each trap gets an independent child stream derived from r via
-// Split(i), so trap i's path does not depend on how many traps exist.
+// UniformiseProfile simulates every trap in a profile over [t0, tf]
+// with the sequential kernel. Each trap gets an independent child
+// stream derived from r via Split(i), so trap i's path does not depend
+// on how many traps exist. Production code runs PWL biases through
+// UniformiseProfileBatch, whose lanes are bit-identical to this loop;
+// UniformiseProfile is the sequential reference for tests and the
+// kernel for BiasFunc biases no PWL can represent.
 func UniformiseProfile(pr trap.Profile, vgs BiasFunc, t0, tf float64, r *rng.Stream) ([]*Path, error) {
 	paths := make([]*Path, len(pr.Traps))
 	// One reusable child stream: Uniformise only draws from it, so the

@@ -30,16 +30,18 @@ var (
 		"sample paths drawn by the conformance harness")
 )
 
-// Simulator draws one trap occupancy path over [t0, t1] under a PWL
-// gate bias. The conformance suites are written against this seam so a
-// deliberately broken kernel can be substituted in tests to prove the
-// gates have detection power.
-type Simulator func(ctx trap.Context, tr trap.Trap, bias *waveform.PWL, t0, t1 float64, r *rng.Stream) (*markov.Path, error)
+// Simulator draws an ensemble of trap occupancy paths over [t0, t1]
+// under a shared PWL gate bias: one path per trap, path k drawn from
+// r.Split(k) — the signature of markov.BatchState.Run. The conformance
+// suites are written against this seam so a deliberately broken kernel
+// can be substituted in tests to prove the gates have detection power.
+type Simulator func(ctx trap.Context, traps []trap.Trap, bias *waveform.PWL, t0, t1 float64, r *rng.Stream) ([]*markov.Path, error)
 
-// DefaultSimulator is the production Algorithm 1 kernel
-// (markov.Uniformise) behind the Simulator seam.
-func DefaultSimulator(ctx trap.Context, tr trap.Trap, bias *waveform.PWL, t0, t1 float64, r *rng.Stream) (*markov.Path, error) {
-	return markov.Uniformise(ctx, tr, markov.PWLBias(bias), t0, t1, r)
+// DefaultSimulator is the production Algorithm 1 kernel behind the
+// Simulator seam: the batched SoA kernel, every path one lane of a
+// markov.BatchState.
+func DefaultSimulator(ctx trap.Context, traps []trap.Trap, bias *waveform.PWL, t0, t1 float64, r *rng.Stream) ([]*markov.Path, error) {
+	return markov.NewBatchState().Run(ctx, traps, bias, t0, t1, r)
 }
 
 // Gate is one statistical check in a conformance report. Pass is
@@ -84,27 +86,11 @@ func (sr *ScenarioReport) add(g Gate) {
 	sr.Gates = append(sr.Gates, g)
 }
 
-// Kernel names accepted by Options.Kernel and recorded in the report.
-const (
-	// KernelSequential draws each scenario path with one Simulator call
-	// (the production markov.Uniformise behind the seam by default).
-	KernelSequential = "sequential"
-	// KernelBatch draws each scenario's whole path ensemble in a single
-	// markov.BatchState.Run call, with every path as one SoA lane.
-	KernelBatch = "batch"
-)
-
 // Report is the full conformance report emitted by cmd/samuraivv. It
 // contains only ordered fields (no maps, no timestamps), so for a fixed
 // seed the JSON encoding is bit-identical across runs and machines.
 type Report struct {
 	Seed uint64 `json:"seed"`
-	// Kernel records which sampling kernel drew the synthetic-scenario
-	// ensembles. Because batch lane k splits the scenario stream exactly
-	// as the sequential loop does, the two kernels' reports are
-	// bit-identical apart from this field — TestBatchKernelReportIdentical
-	// pins that.
-	Kernel string `json:"kernel"`
 	// Alpha is the total false-positive budget: the probability that a
 	// correct simulator fails at least one gate in this report.
 	Alpha        float64          `json:"alpha"`
@@ -144,24 +130,17 @@ type Options struct {
 	// Alpha is the report-wide false-positive budget (default
 	// DefaultAlpha).
 	Alpha float64
-	// Sim is the simulator under test (default DefaultSimulator). Only
-	// the sequential kernel routes through this seam; combining a custom
-	// Sim with KernelBatch is rejected.
+	// Sim is the simulator under test (default DefaultSimulator).
 	Sim Simulator
-	// Kernel selects how scenario ensembles are drawn: KernelSequential
-	// (default, one Sim call per path) or KernelBatch (one
-	// markov.BatchState.Run per scenario, every path a lane).
-	Kernel string
 	// E2E also drives the full samurai.Run methodology (two circuit
 	// passes per run) and gates the resulting trap path statistics.
 	E2E bool
 	// E2ERuns is the number of end-to-end methodology runs (default 32).
 	E2ERuns int
 	// Rare appends the rare-event unbiasedness rows (RareMatrix) to
-	// the report. The rows always draw through the sequential tilted
-	// kernel regardless of Kernel — the rare battery gates the
-	// importance-sampling layer, not the naive kernels — so sequential
-	// and batch reports still differ only in their "kernel" field.
+	// the report. The rows draw through the tilted kernel (see
+	// RareSimulator), not Sim: the rare battery gates the
+	// importance-sampling layer.
 	Rare bool
 }
 
@@ -171,9 +150,6 @@ func (o Options) defaults() Options {
 	}
 	if o.Sim == nil {
 		o.Sim = DefaultSimulator
-	}
-	if o.Kernel == "" {
-		o.Kernel = KernelSequential
 	}
 	if o.E2ERuns == 0 {
 		o.E2ERuns = 32
@@ -193,13 +169,7 @@ var e2eProbeFracs = []float64{0.25, 0.6, 0.9}
 // end-to-end methodology suite) and returns the report. The report is a
 // pure function of Options for a fixed simulator.
 func RunMatrix(opts Options) (*Report, error) {
-	if opts.Kernel == KernelBatch && opts.Sim != nil {
-		return nil, fmt.Errorf("vv: the batch kernel bypasses the Simulator seam; drop Sim or use %s", KernelSequential)
-	}
 	opts = opts.defaults()
-	if opts.Kernel != KernelSequential && opts.Kernel != KernelBatch {
-		return nil, fmt.Errorf("vv: unknown kernel %q (want %s or %s)", opts.Kernel, KernelSequential, KernelBatch)
-	}
 	scenarios, err := Matrix()
 	if err != nil {
 		return nil, err
@@ -218,24 +188,13 @@ func RunMatrix(opts Options) (*Report, error) {
 	root := rng.New(opts.Seed)
 	rep := &Report{
 		Seed:         opts.Seed,
-		Kernel:       opts.Kernel,
 		Alpha:        opts.Alpha,
 		Gates:        total,
 		PerGateAlpha: budget.PerGate(),
 		Pass:         true,
 	}
-	var bs *markov.BatchState
-	if opts.Kernel == KernelBatch {
-		bs = markov.NewBatchState()
-	}
 	for i, sc := range scenarios {
-		var sr ScenarioReport
-		var err error
-		if bs != nil {
-			sr, err = RunScenarioBatch(sc, bs, root.Split(uint64(100+i)), budget)
-		} else {
-			sr, err = RunScenario(sc, opts.Sim, root.Split(uint64(100+i)), budget)
-		}
+		sr, err := RunScenario(sc, opts.Sim, root.Split(uint64(100+i)), budget)
 		if err != nil {
 			return nil, err
 		}
@@ -272,49 +231,21 @@ func RunMatrix(opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// RunScenario draws the scenario's path ensemble with sim and runs its
-// gate battery against the analytic Master reference. The budget is the
-// report-wide false-positive budget (its PerGate share decides each
-// gate's threshold).
+// RunScenario draws the scenario's path ensemble with one sim call —
+// every path a copy of the scenario's trap — and runs its gate battery
+// against the analytic Master reference. The budget is the report-wide
+// false-positive budget (its PerGate share decides each gate's
+// threshold).
 func RunScenario(sc Scenario, sim Simulator, r *rng.Stream, budget Budget) (ScenarioReport, error) {
-	paths := make([]*markov.Path, sc.Paths)
-	var child rng.Stream
-	for i := range paths {
-		r.SplitInto(uint64(i), &child)
-		p, err := sim(sc.Ctx, sc.Tr, sc.Bias, sc.T0, sc.T1, &child)
-		if err != nil {
-			return ScenarioReport{Name: sc.Name, Note: sc.Note, Paths: sc.Paths},
-				fmt.Errorf("vv: scenario %s path %d: %w", sc.Name, i, err)
-		}
-		paths[i] = p
-	}
-	return scenarioGates(sc, paths, budget)
-}
-
-// RunScenarioBatch draws the scenario's whole ensemble with one
-// markov.BatchState.Run call — every path is a lane of the SoA kernel —
-// and runs the identical gate battery. Lane k derives its stream via
-// r.SplitInto(k), exactly the derivation RunScenario's sequential loop
-// uses, so the resulting ScenarioReport is bit-identical to the
-// sequential one under the production simulator: the batch row re-proves
-// the paper's statistical conformance for the fast kernel at zero extra
-// analytic machinery.
-func RunScenarioBatch(sc Scenario, bs *markov.BatchState, r *rng.Stream, budget Budget) (ScenarioReport, error) {
 	traps := make([]trap.Trap, sc.Paths)
 	for i := range traps {
 		traps[i] = sc.Tr
 	}
-	paths, err := bs.Run(sc.Ctx, traps, sc.Bias, sc.T0, sc.T1, r)
+	paths, err := sim(sc.Ctx, traps, sc.Bias, sc.T0, sc.T1, r)
 	if err != nil {
 		return ScenarioReport{Name: sc.Name, Note: sc.Note, Paths: sc.Paths},
-			fmt.Errorf("vv: scenario %s batch: %w", sc.Name, err)
+			fmt.Errorf("vv: scenario %s: %w", sc.Name, err)
 	}
-	return scenarioGates(sc, paths, budget)
-}
-
-// scenarioGates runs the scenario's gate battery over an already-drawn
-// path ensemble against the analytic Master reference.
-func scenarioGates(sc Scenario, paths []*markov.Path, budget Budget) (ScenarioReport, error) {
 	m, err := NewMaster(sc.Ctx, sc.Tr, sc.Bias)
 	if err != nil {
 		return ScenarioReport{}, fmt.Errorf("vv: scenario %s: %w", sc.Name, err)

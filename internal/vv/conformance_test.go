@@ -128,14 +128,14 @@ func TestReportDeterministic(t *testing.T) {
 // seeded test in the tree would still pass. Only distribution-level
 // gates can see it.
 func brokenSimulator(eps float64) Simulator {
-	return func(ctx trap.Context, tr trap.Trap, bias *waveform.PWL, t0, t1 float64, r *rng.Stream) (*markov.Path, error) {
+	return perPath(func(ctx trap.Context, tr trap.Trap, bias *waveform.PWL, t0, t1 float64, r *rng.Stream) (*markov.Path, error) {
 		cur := bias.Cursor()
 		rates := func(u float64) (lc, le float64) {
 			lc, le = ctx.Rates(tr, cur.Eval(u))
 			return lc * (1 + eps), le * (1 + eps)
 		}
 		return markov.UniformiseGeneral(rates, ctx.RateSum(tr)*(1+eps), tr.InitFilled, t0, t1, r)
-	}
+	})
 }
 
 // TestBrokenThinningCaught is the detection-power acceptance criterion:
@@ -185,7 +185,7 @@ func TestBrokenSimulatorSanity(t *testing.T) {
 // folded into a report.
 func TestScenarioErrorPropagates(t *testing.T) {
 	sc := mustMatrix(t)[0]
-	bad := func(ctx trap.Context, tr trap.Trap, bias *waveform.PWL, t0, t1 float64, r *rng.Stream) (*markov.Path, error) {
+	bad := func(ctx trap.Context, traps []trap.Trap, bias *waveform.PWL, t0, t1 float64, r *rng.Stream) ([]*markov.Path, error) {
 		return nil, markov.ErrBadInterval
 	}
 	if _, err := RunScenario(sc, bad, rng.New(1), Budget{Alpha: DefaultAlpha, Gates: sc.GateCount()}); err == nil {

@@ -11,31 +11,50 @@ import (
 	"samurai/internal/waveform"
 )
 
-// TestBatchKernelReportIdentical is the batch-kernel conformance row's
-// strongest form: because BatchState lane k splits the scenario stream
-// exactly as RunScenario's sequential loop does, the batch report must
-// be byte-identical to the sequential report apart from the kernel
-// field. Any SoA-layout or chunked-draw bug that perturbs a single
-// accept decision in any of the matrix's ensembles breaks this.
-func TestBatchKernelReportIdentical(t *testing.T) {
-	seq, err := RunMatrix(Options{Seed: 7, E2E: false})
-	if err != nil {
-		t.Fatalf("sequential RunMatrix: %v", err)
+// sequential is the reference kernel lifted to the Simulator seam: a
+// per-path loop over markov.Uniformise.
+var sequential = perPath(func(ctx trap.Context, tr trap.Trap, bias *waveform.PWL, t0, t1 float64, r *rng.Stream) (*markov.Path, error) {
+	return markov.Uniformise(ctx, tr, markov.PWLBias(bias), t0, t1, r)
+})
+
+// perPath lifts a single-path kernel to the ensemble Simulator seam:
+// path k is drawn from r.Split(k), the derivation markov.BatchState.Run
+// uses for lane k.
+func perPath(sim func(ctx trap.Context, tr trap.Trap, bias *waveform.PWL, t0, t1 float64, r *rng.Stream) (*markov.Path, error)) Simulator {
+	return func(ctx trap.Context, traps []trap.Trap, bias *waveform.PWL, t0, t1 float64, r *rng.Stream) ([]*markov.Path, error) {
+		paths := make([]*markov.Path, len(traps))
+		var child rng.Stream
+		for k, tr := range traps {
+			r.SplitInto(uint64(k), &child)
+			p, err := sim(ctx, tr, bias, t0, t1, &child)
+			if err != nil {
+				return nil, err
+			}
+			paths[k] = p
+		}
+		return paths, nil
 	}
-	bat, err := RunMatrix(Options{Seed: 7, E2E: false, Kernel: KernelBatch})
+}
+
+// TestBatchKernelReportIdentical pins the production kernel that vv
+// gates to its sequential reference: because BatchState lane k splits
+// the scenario stream exactly as a per-path loop over markov.Uniformise
+// does, the conformance report drawn through DefaultSimulator must be
+// byte-identical to the one drawn through the sequential kernel. Any
+// SoA-layout or chunked-draw bug that perturbs a single accept decision
+// in any of the matrix's ensembles breaks this.
+func TestBatchKernelReportIdentical(t *testing.T) {
+	bat, err := RunMatrix(Options{Seed: 1, E2E: false})
 	if err != nil {
 		t.Fatalf("batch RunMatrix: %v", err)
 	}
-	if seq.Kernel != KernelSequential {
-		t.Errorf("sequential report kernel = %q", seq.Kernel)
-	}
-	if bat.Kernel != KernelBatch {
-		t.Errorf("batch report kernel = %q", bat.Kernel)
+	seq, err := RunMatrix(Options{Seed: 1, E2E: false, Sim: sequential})
+	if err != nil {
+		t.Fatalf("sequential RunMatrix: %v", err)
 	}
 	if !bat.Pass {
 		t.Errorf("batch kernel failed the conformance matrix")
 	}
-	bat.Kernel = seq.Kernel
 	a, err := json.Marshal(seq)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +64,7 @@ func TestBatchKernelReportIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatalf("batch and sequential reports diverge beyond the kernel field:\n%s\n---\n%s", a, b)
+		t.Fatalf("batch and sequential reports diverge:\n%s\n---\n%s", a, b)
 	}
 }
 
@@ -55,32 +74,17 @@ func TestBatchKernelReportIdentical(t *testing.T) {
 func TestRunScenarioBatchMatchesSequential(t *testing.T) {
 	sc := mustMatrix(t)[0]
 	budget := Budget{Alpha: DefaultAlpha, Gates: sc.GateCount()}
-	seq, err := RunScenario(sc, DefaultSimulator, rng.New(11), budget)
+	seq, err := RunScenario(sc, sequential, rng.New(11), budget)
 	if err != nil {
-		t.Fatalf("RunScenario: %v", err)
+		t.Fatalf("sequential RunScenario: %v", err)
 	}
-	bat, err := RunScenarioBatch(sc, markov.NewBatchState(), rng.New(11), budget)
+	bat, err := RunScenario(sc, DefaultSimulator, rng.New(11), budget)
 	if err != nil {
-		t.Fatalf("RunScenarioBatch: %v", err)
+		t.Fatalf("batch RunScenario: %v", err)
 	}
 	a, _ := json.Marshal(seq)
 	b, _ := json.Marshal(bat)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("scenario reports differ:\n%s\n---\n%s", a, b)
-	}
-}
-
-// TestKernelOptionValidation: unknown kernels and a custom Simulator
-// combined with the batch kernel (which bypasses the seam) must be
-// rejected, not silently ignored.
-func TestKernelOptionValidation(t *testing.T) {
-	if _, err := RunMatrix(Options{Seed: 1, E2E: false, Kernel: "vectorised"}); err == nil {
-		t.Errorf("unknown kernel accepted")
-	}
-	sim := func(ctx trap.Context, tr trap.Trap, bias *waveform.PWL, t0, t1 float64, r *rng.Stream) (*markov.Path, error) {
-		return DefaultSimulator(ctx, tr, bias, t0, t1, r)
-	}
-	if _, err := RunMatrix(Options{Seed: 1, E2E: false, Kernel: KernelBatch, Sim: sim}); err == nil {
-		t.Errorf("custom Sim with batch kernel accepted")
 	}
 }

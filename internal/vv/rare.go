@@ -29,10 +29,9 @@ import (
 //     paths are bit-identical to markov.Uniformise on the same
 //     streams.
 //
-// Rare rows are always drawn through the sequential tilted kernel —
-// deliberately kernel-independent, so a sequential and a batch
-// conformance report differ only in their "kernel" field even when
-// rare rows are enabled.
+// Rare rows draw through the sequential tilted kernel, the per-trap
+// body of markov.UniformiseProfileTilted — the kernel samurai.RunCtx
+// runs whenever Config.TiltEV is non-zero.
 
 var mVVRareRows = obs.GetCounter("samurai_vv_rare_rows_total",
 	"rare-event conformance rows executed")
@@ -304,7 +303,6 @@ func RunRareMatrix(opts Options) (*Report, error) {
 	root := rng.New(opts.Seed)
 	rep := &Report{
 		Seed:         opts.Seed,
-		Kernel:       KernelSequential,
 		Alpha:        opts.Alpha,
 		Gates:        budget.Gates,
 		PerGateAlpha: budget.PerGate(),

@@ -1,7 +1,6 @@
 package vv
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"testing"
@@ -199,39 +198,6 @@ func TestBrokenWeightSanity(t *testing.T) {
 	}
 	if !sr.Pass {
 		t.Fatalf("honest wrapper failed the battery: %+v", sr.Gates)
-	}
-}
-
-// TestRareRowsKernelIndependent: with rare rows enabled, sequential
-// and batch conformance reports must still be byte-identical apart
-// from the kernel field — the rare rows always draw through the
-// sequential tilted kernel, by design.
-func TestRareRowsKernelIndependent(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full double matrix skipped in -short")
-	}
-	seq, err := RunMatrix(Options{Seed: 7, Rare: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bat, err := RunMatrix(Options{Seed: 7, Rare: true, Kernel: KernelBatch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq.Pass || !bat.Pass {
-		t.Fatalf("rare-extended matrix failed: seq=%v bat=%v", seq.Pass, bat.Pass)
-	}
-	bat.Kernel = seq.Kernel
-	a, err := json.Marshal(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(bat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("rare-extended batch and sequential reports diverge beyond the kernel field")
 	}
 }
 

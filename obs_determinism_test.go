@@ -153,6 +153,41 @@ func TestTraceDeterminismRun(t *testing.T) {
 	}
 }
 
+// TestTiltedRunRecordsKernelSpans: a tilted run must record one
+// markov.uniformise span under each transistor span, exactly as an
+// untilted run does, so the span tree's shape does not depend on which
+// trap kernel ran.
+func TestTiltedRunRecordsKernelSpans(t *testing.T) {
+	const kernelPath = "samurai.run/traps/transistor/markov.uniformise"
+	for _, tilt := range []float64{0, -0.05} {
+		ctx, tracer := tracedContext(7)
+		if _, err := samurai.RunCtx(ctx, samurai.Config{Seed: 7, TiltEV: tilt}); err != nil {
+			t.Fatal(err)
+		}
+		spans := tracer.Snapshot()
+		byID := map[uint64]trace.SpanRec{}
+		for _, s := range spans {
+			byID[s.ID] = s
+		}
+		kernels, insts := 0, map[uint64]bool{}
+		for _, s := range spans {
+			if s.Path != kernelPath {
+				continue
+			}
+			parent, ok := byID[s.Parent]
+			if !ok || parent.Path != "samurai.run/traps/transistor" {
+				t.Fatalf("tilt %g: kernel span parent %+v is not a transistor span", tilt, parent)
+			}
+			kernels++
+			insts[parent.Inst] = true
+		}
+		if kernels != len(sram.Transistors) || len(insts) != len(sram.Transistors) {
+			t.Fatalf("tilt %g: %d kernel spans under %d transistors, want one under each of %d",
+				tilt, kernels, len(insts), len(sram.Transistors))
+		}
+	}
+}
+
 // TestTraceTopologyByteIdentical pins the deterministic-ID guarantee on
 // the real pipeline: the same job run twice — with concurrent workers,
 // so recording order genuinely differs — exports byte-identical
@@ -206,7 +241,7 @@ func TestTraceChromeExportValid(t *testing.T) {
 	}
 	var doc struct {
 		DisplayTimeUnit string `json:"displayTimeUnit"`
-		TraceEvents []struct {
+		TraceEvents     []struct {
 			Name string  `json:"name"`
 			Ph   string  `json:"ph"`
 			Pid  int     `json:"pid"`

@@ -283,8 +283,12 @@ func trapsPass(ctx context.Context, cfg Config, cleanCell *sram.Cell, clean *sra
 			if cfg.TiltEV != 0 {
 				// Importance-sampling pass: the tilted kernel draws
 				// from the same child stream the batch kernel would,
-				// and accumulates the exact per-profile log-LR.
+				// and accumulates the exact per-profile log-LR. It
+				// records the batch kernel's span, so the span tree has
+				// the same shape tilted or not.
+				_, ksp := trace.Start(tctx, "markov.uniformise")
 				o.paths, o.logLR, err = markov.UniformiseProfileTilted(profile, markov.PWLBias(vgs), t0, t1, cfg.TiltEV, root.Split(uint64(2000+i)))
+				ksp.End()
 			} else {
 				// Batched SoA kernel: one shared segment walk over the bias
 				// PWL for the whole profile. Paths are bit-identical to the

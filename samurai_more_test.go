@@ -1,11 +1,13 @@
 package samurai
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"samurai/internal/circuit"
 	"samurai/internal/device"
+	"samurai/internal/montecarlo"
 	"samurai/internal/sram"
 	"samurai/internal/trap"
 	"samurai/internal/waveform"
@@ -151,6 +153,56 @@ func TestArrayRunnerScaleZeroSkipsRTN(t *testing.T) {
 	}
 	if traps == 0 {
 		t.Fatal("RTN run reported no traps")
+	}
+}
+
+// TestRareRunnerTiltZeroCleanSweepMatchesNaive: a variation-only
+// (WithRTN false) sweep at tilt 0 must be bit-identical through the
+// rare runner and the naive one — the clean-only branch draws no trap
+// paths in either, so every field the naive sweep fills agrees.
+func TestRareRunnerTiltZeroCleanSweepMatchesNaive(t *testing.T) {
+	tech := device.Node("32nm")
+	cfg := montecarlo.ArrayConfig{
+		Tech:    tech,
+		Cell:    sram.CellConfig{Tech: tech},
+		Pattern: sram.Fig8Pattern(tech.Vdd),
+		Cells:   3,
+		Scale:   1,
+		Seed:    5,
+		WithRTN: false,
+		Workers: 1,
+	}
+	ctx := context.Background()
+	naive, err := montecarlo.RunArrayCtx(ctx, cfg, ArrayRunnerCtx(), montecarlo.ArrayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rare, err := montecarlo.RunArrayCtx(ctx, cfg, nil, montecarlo.ArrayOptions{
+		RareEvent: &montecarlo.RareEventSpec{TiltEV: 0, Runner: RareArrayRunnerCtx()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rare.Outcomes) != len(naive.Outcomes) {
+		t.Fatalf("%d rare outcomes, %d naive", len(rare.Outcomes), len(naive.Outcomes))
+	}
+	for i, w := range naive.Outcomes {
+		g := rare.Outcomes[i]
+		if g.Index != w.Index || g.TrapCount != w.TrapCount || g.Errors != w.Errors ||
+			g.Slow != w.Slow || g.Failed != w.Failed || g.Err != w.Err {
+			t.Fatalf("cell %d: rare %+v, naive %+v", i, g, w)
+		}
+		if len(g.VtShift) != len(w.VtShift) {
+			t.Fatalf("cell %d: VtShift has %d entries, naive %d", i, len(g.VtShift), len(w.VtShift))
+		}
+		for name, v := range w.VtShift {
+			if math.Float64bits(g.VtShift[name]) != math.Float64bits(v) {
+				t.Fatalf("cell %d: VtShift[%s] %g, naive %g", i, name, g.VtShift[name], v)
+			}
+		}
+		if math.Float64bits(g.LogLR) != 0 {
+			t.Fatalf("cell %d: clean-only log-LR %g, want exactly 0", i, g.LogLR)
+		}
 	}
 }
 
