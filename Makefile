@@ -91,15 +91,15 @@ bench-golden:
 	bash cmd/samuraibench/run.sh -seed 1 -seconds 2 -trace 0
 
 # bench-json records the machine-readable benchmark trajectory: a real
-# (multi-iteration) -benchmem run parsed into BENCH_10.json, diffed
-# against the pre-PR baseline saved in bench_baseline_10.txt, with the
+# (multi-iteration) -benchmem run parsed into bench_trajectory.json,
+# diffed against the baseline saved in bench_baseline.txt, with the
 # build/machine provenance manifest embedded (-runinfo) and the
 # regression gate armed: any allocs/op or B/op growth beyond 10% vs
-# the baseline exits non-zero. BenchmarkRareSpeedup is new this PR
-# (the rare-event variance-reduction engine) — absent from the
-# baseline it records trajectory without gating, but the benchmark
-# itself fails below a 100x paths-to-CI speedup, so the pinned
-# paths-speedup-x metric is a floor as well as a trajectory. The two
+# the baseline exits non-zero. BenchmarkRareSpeedup (the rare-event
+# variance-reduction engine) is absent from the baseline, so it
+# records trajectory without gating, but the benchmark itself fails
+# below a 100x paths-to-CI speedup, so the pinned paths-speedup-x
+# metric is a floor as well as a trajectory. The two
 # uniformisation kernels run at 20 iterations (the rest stay at 2x —
 # Fig 3 alone is seconds per op) so the recorded sequential-vs-batch
 # ratio is stable enough to read the ≥5x per-trap-path speedup off
@@ -109,9 +109,9 @@ bench-json:
 		-benchmem -benchtime=2x -run=^$$ . > bench_current.txt
 	$(GO) test -bench='^(BenchmarkCoreUniformise|BenchmarkBatchUniformise)$$' \
 		-benchmem -benchtime=20x -run=^$$ . >> bench_current.txt
-	$(GO) run ./cmd/benchjson -baseline bench_baseline_10.txt -gate -runinfo -o BENCH_10.json bench_current.txt
+	$(GO) run ./cmd/benchjson -baseline bench_baseline.txt -gate -runinfo -o bench_trajectory.json bench_current.txt
 	@rm -f bench_current.txt
-	@echo wrote BENCH_10.json
+	@echo wrote bench_trajectory.json
 
 # smoke-service exercises samuraid end to end: build -race, start on an
 # ephemeral port, run a tiny array job over HTTP, SIGTERM, assert a

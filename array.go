@@ -70,12 +70,3 @@ func runCell(ctx context.Context, cell sram.CellConfig, pattern sram.Pattern, sc
 	}
 	return res.WithRTN.NumError, res.WithRTN.NumSlow, traps, res.LogLR, res.GlitchDepth, nil
 }
-
-// ArrayRunner is ArrayRunnerCtx without cancellation — the per-cell
-// worker for the plain montecarlo.RunArray.
-func ArrayRunner() montecarlo.Runner {
-	run := ArrayRunnerCtx()
-	return func(cell sram.CellConfig, pattern sram.Pattern, scale float64, seed uint64) (errors, slow, traps int, err error) {
-		return run(context.Background(), cell, pattern, scale, seed)
-	}
-}

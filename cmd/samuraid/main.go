@@ -1,18 +1,19 @@
 // Command samuraid is the durable SAMURAI job service: it accepts
 // methodology runs and Monte-Carlo array sweeps over a REST API,
-// checkpoints sweeps cell-by-cell into an append-only JSONL store, and
+// checkpoints them cell-by-cell into an append-only JSONL store, and
 // resumes interrupted sweeps bit-identically after a restart.
 //
 // Usage:
 //
 //	samuraid -addr :8437 -store samuraid.jsonl
 //
-// Array sweeps always run through the jobd lease protocol: -max-jobs
-// in-process executors lease cells directly from the job table, and
-// samuraiw workers may lease from the same table over /fabric/lease,
-// /fabric/checkpoint and /fabric/status (see internal/fabric). With
-// -coordinator, samuraid starts no in-process executors: every array
-// cell goes to samuraiw workers, and run-type jobs are refused.
+// Every job runs through the jobd lease protocol; a methodology run is
+// a job of one cell. -max-jobs in-process executors lease cells
+// directly from the job table, and samuraiw workers may lease from the
+// same table over /fabric/lease, /fabric/checkpoint and /fabric/status
+// (see internal/fabric). With -coordinator, samuraid starts no
+// in-process executors: every cell, a run job's included, goes to
+// samuraiw workers.
 //
 // SIGTERM/SIGINT drains gracefully: in-flight cells finish and
 // checkpoint, interrupted sweeps return to the queue (resumed on next
@@ -56,14 +57,14 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:8437", "HTTP listen address (host:port; :0 picks a free port)")
 	flag.StringVar(&cfg.storePath, "store", "samuraid.jsonl", "append-only job store path")
-	flag.IntVar(&cfg.maxJobs, "max-jobs", 1, "in-process executors (each runs one run job or one array lease at a time)")
+	flag.IntVar(&cfg.maxJobs, "max-jobs", 1, "in-process executors (each runs one lease of any job at a time)")
 	flag.IntVar(&cfg.workers, "workers", 0, "default per-job cell workers (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.flightSize, "flight-size", 0, "per-job flight-recorder ring capacity (0 = default: 4096, none with -coordinator; negative disables)")
 	flag.StringVar(&cfg.addrFile, "addr-file", "", "write the bound address to this file once listening")
 	flag.BoolVar(&cfg.progress, "progress", false, "log progress events to stderr as JSONL")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "max time for the HTTP server to drain on shutdown")
 	flag.BoolVar(&cfg.compact, "compact", true, "compact the job store on startup (snapshot + truncate)")
-	flag.BoolVar(&cfg.coordinator, "coordinator", false, "start no in-process executors (lease all array work to samuraiw workers)")
+	flag.BoolVar(&cfg.coordinator, "coordinator", false, "start no in-process executors (lease every job's cells to samuraiw workers)")
 	flag.IntVar(&cfg.leaseCells, "lease-cells", 0, "max cells per remote lease; in-process leases take this many per cell worker (0 = default 32)")
 	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 0, "lease renewal deadline (0 = default 10s)")
 	flag.Parse()

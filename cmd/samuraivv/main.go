@@ -13,8 +13,11 @@
 //
 // Usage:
 //
-//	samuraivv [-seed N] [-alpha A] [-e2e=false] [-e2e-runs N] [-rare]
+//	samuraivv [-seed N] [-alpha A] [-e2e=false] [-e2e-runs N]
 //	          [-o report.json] [-metrics]
+//
+// The rare-event unbiasedness battery has its own command,
+// samurairare.
 package main
 
 import (
@@ -38,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "master seed; the report is a pure function of it")
 	alpha := fs.Float64("alpha", vv.DefaultAlpha, "report-wide false-positive budget")
 	e2e := fs.Bool("e2e", true, "also run the end-to-end samurai.Run suite")
-	rare := fs.Bool("rare", false, "also run the rare-event unbiasedness battery (importance-sampling gates)")
 	e2eRuns := fs.Int("e2e-runs", 0, "end-to-end methodology runs (0 = default)")
 	out := fs.String("o", "", "write the report to this file instead of stdout")
 	metrics := fs.Bool("metrics", false, "append a samurai_vv_* metrics snapshot to stderr")
@@ -51,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Alpha:   *alpha,
 		E2E:     *e2e,
 		E2ERuns: *e2eRuns,
-		Rare:    *rare,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "samuraivv:", err)

@@ -1,9 +1,10 @@
 // Command samuraiw is the SAMURAI fabric worker: it runs the jobd lease
 // loop — the one samuraid's in-process executors run — against a
 // samuraid over HTTP: it acquires cell-range leases, simulates the
-// leased cells with the standard array runner, and streams the per-cell
-// results back as checkpoints. Workers can join any samuraid; one
-// started with -coordinator leaves all array work to them.
+// leased cells with the standard cell runners (a run job is one lease
+// of its one nominal cell), and streams the per-cell results back as
+// checkpoints. Workers can join any samuraid; one started with
+// -coordinator leaves every job to them.
 //
 // Usage:
 //

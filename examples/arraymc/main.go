@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -74,13 +75,13 @@ func main() {
 
 	noRTN := base
 	noRTN.WithRTN = false
-	varOnly, err := montecarlo.RunArray(noRTN, samurai.ArrayRunner())
+	varOnly, err := montecarlo.RunArrayCtx(context.Background(), noRTN, samurai.ArrayRunnerCtx(), montecarlo.ArrayOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	withRTN := base
 	withRTN.WithRTN = true
-	rtnRes, err := montecarlo.RunArray(withRTN, samurai.ArrayRunner())
+	rtnRes, err := montecarlo.RunArrayCtx(context.Background(), withRTN, samurai.ArrayRunnerCtx(), montecarlo.ArrayOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package conc provides small concurrency helpers for the parallel
-// fan-outs (samurai.Run's per-transistor workers, montecarlo.RunArray's
+// fan-outs (samurai.Run's per-transistor workers, montecarlo.RunArrayCtx's
 // cell workers). The helpers exist to keep parallel execution exactly
 // as reproducible as sequential execution: result writes stay
 // index-disjoint in the callers, and error aggregation here is

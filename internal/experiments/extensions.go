@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -177,13 +178,13 @@ func X2(cfg X2Config) (*X2Result, error) {
 
 	varOnly := base
 	varOnly.WithRTN = false
-	vRes, err := montecarlo.RunArray(varOnly, samurai.ArrayRunner())
+	vRes, err := montecarlo.RunArrayCtx(context.Background(), varOnly, samurai.ArrayRunnerCtx(), montecarlo.ArrayOptions{})
 	if err != nil {
 		return nil, err
 	}
 	withRTN := base
 	withRTN.WithRTN = true
-	rRes, err := montecarlo.RunArray(withRTN, samurai.ArrayRunner())
+	rRes, err := montecarlo.RunArrayCtx(context.Background(), withRTN, samurai.ArrayRunnerCtx(), montecarlo.ArrayOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"context"
+	"encoding/json"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -8,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"samurai"
+	"samurai/internal/device"
 	"samurai/internal/jobd"
+	"samurai/internal/sram"
 )
 
 // fakeClock drives lease expiry without sleeping.
@@ -348,22 +353,134 @@ func TestReleaseByNonHolderRefused(t *testing.T) {
 	}
 }
 
-// TestSubmitRejectsRunJobs: the fabric shards cell index spaces; run
-// jobs have none and are refused up front.
-func TestSubmitRejectsRunJobs(t *testing.T) {
+// TestRunJobLeasesOneCell: a run job is a job of one cell. Its lease is
+// [0,1), and the one checkpointed record becomes the run summary.
+// Every real nominal cell probed writes cleanly, so a synthetic record
+// exercises the error and slowdown mapping.
+func TestRunJobLeasesOneCell(t *testing.T) {
 	clk := newFakeClock()
 	c, _ := newClockedCoordinator(t, clk, Options{})
-	if _, err := c.Submit(jobd.Spec{Type: jobd.TypeRun, Seed: 1}); err == nil {
-		t.Fatal("run-type submission accepted")
+	v, err := c.Submit(jobd.Spec{Type: jobd.TypeRun, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.CellsTotal != 1 {
+		t.Fatalf("run job view: cells_total %d, want 1", v.CellsTotal)
+	}
+	g := mustLease(t, c, "w-a")
+	if g.Job != v.ID || g.Lo != 0 || g.Hi != 1 {
+		t.Fatalf("run job lease: job %s [%d,%d), want %s [0,1)", g.Job, g.Lo, g.Hi, v.ID)
+	}
+	if resp, _, _ := c.Lease(jobd.LeaseRequest{Worker: "w-b"}); !resp.Idle || resp.Done {
+		t.Fatalf("second lease while the one cell is out: %+v", resp)
+	}
+	cp, code, err := c.Checkpoint(jobd.CheckpointRequest{
+		Worker: "w-a", Job: g.Job, Lease: g.Lease,
+		Cells: []jobd.CellRecord{{Index: 0, Errors: 2, Slow: 1, TrapCount: 5, Failed: true}},
+	})
+	if err != nil || code != http.StatusOK || cp.State != jobd.StateDone {
+		t.Fatalf("checkpoint: %+v code %d err %v", cp, code, err)
+	}
+	v, _ = c.Get(v.ID)
+	if want := (jobd.Summary{WriteErrors: 2, Slowdowns: 1, Traps: 5}); v.Result == nil || *v.Result != want {
+		t.Fatalf("run summary %+v, want %+v", v.Result, want)
 	}
 }
 
-// TestReplayedRunJobFailed: a non-terminal run-type job left in the WAL
-// by a scheduler deployment is failed loudly on coordinator startup
-// instead of hanging queued forever.
-func TestReplayedRunJobFailed(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.jsonl")
-	store, _, _, err := jobd.Open(path)
+// TestCancelledRunJobLeaseGone: cancelling a run job that is out on
+// lease moves it to canceled at once and voids the lease, so the
+// holder's next renewal answers 410.
+func TestCancelledRunJobLeaseGone(t *testing.T) {
+	clk := newFakeClock()
+	c, _ := newClockedCoordinator(t, clk, Options{})
+	v, err := c.Submit(jobd.Spec{Type: jobd.TypeRun, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := mustLease(t, c, "w-a")
+	if err := c.Cancel(v.ID); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := c.Get(v.ID); v.State != jobd.StateCanceled {
+		t.Fatalf("cancelled run job is %s, want canceled", v.State)
+	}
+	if _, code, err := c.Lease(jobd.LeaseRequest{Worker: "w-a", Renew: g.Lease}); err == nil || code != http.StatusGone {
+		t.Fatalf("renew after cancel: code %d, err %v, want 410", code, err)
+	}
+}
+
+// runSummary is a run job's summary computed without jobd: samurai.RunCtx
+// on the default spec's nominal cell (90 nm at its nominal supply, the
+// Fig 8 pattern, scale 1) at the seed.
+func runSummary(t *testing.T, seed uint64) jobd.Summary {
+	t.Helper()
+	tech := device.Node("90nm")
+	res, err := samurai.RunCtx(context.Background(), samurai.Config{
+		Tech:    tech,
+		Cell:    sram.CellConfig{Tech: tech, Vdd: tech.Vdd},
+		Pattern: sram.Fig8Pattern(tech.Vdd),
+		Seed:    seed,
+		Scale:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traps := 0
+	for _, p := range res.Profiles {
+		traps += len(p.Traps)
+	}
+	return jobd.Summary{WriteErrors: res.WithRTN.NumError, Slowdowns: res.WithRTN.NumSlow, Traps: traps}
+}
+
+// assertRunJobDone runs one HTTP worker until every job is terminal and
+// checks the run job's /result: the summary samurai.RunCtx gives at the
+// seed, and its one cell record.
+func assertRunJobDone(t *testing.T, url, id string, seed uint64) {
+	t.Helper()
+	w := NewWorker(WorkerOptions{BaseURL: url, Poll: 10 * time.Millisecond, ExitWhenDone: true})
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	resp, err := http.Get(url + "/jobs/" + id + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res struct {
+		Summary *jobd.Summary     `json:"summary"`
+		Cells   []jobd.CellRecord `json:"cells"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&res)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("result: status %d, err %v", resp.StatusCode, err)
+	}
+	want := runSummary(t, seed)
+	if res.Summary == nil || *res.Summary != want {
+		t.Fatalf("run job summary %+v, want samurai.RunCtx's %+v", res.Summary, want)
+	}
+	if len(res.Cells) != 1 || res.Cells[0].Index != 0 || res.Cells[0].TrapCount != want.Traps || len(res.Cells[0].VtShift) != 0 {
+		t.Fatalf("run job cells %+v, want one nominal cell with %d traps", res.Cells, want.Traps)
+	}
+}
+
+// TestWorkerRunsSubmittedRunJob: a coordinator accepts a run job, and an
+// HTTP worker runs it as a one-cell lease.
+func TestWorkerRunsSubmittedRunJob(t *testing.T) {
+	c, srv := newFabric(t, t.TempDir(), Options{LeaseTTL: time.Minute})
+	v, err := c.Submit(jobd.Spec{Type: jobd.TypeRun, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRunJobDone(t, srv.URL, v.ID, 3)
+}
+
+// TestWorkerRunsReplayedRunJob: a queued run job left in the WAL is
+// leased after a coordinator starts over it, not failed.
+func TestWorkerRunsReplayedRunJob(t *testing.T) {
+	dir := t.TempDir()
+	store, _, _, err := jobd.Open(filepath.Join(dir, "store.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,23 +491,11 @@ func TestReplayedRunJobFailed(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	store2, jobs2, seq2, err := jobd.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	clk := newFakeClock()
-	c := New(store2, jobs2, seq2, Options{Now: clk.Now})
-	v, ok := c.Get("job-000001")
-	if !ok || v.State != jobd.StateFailed {
+	c, srv := newFabric(t, dir, Options{LeaseTTL: time.Minute})
+	if v, ok := c.Get("job-000001"); !ok || v.State != jobd.StateQueued {
 		t.Fatalf("replayed run job: %+v", v)
 	}
-	// Leasing finds nothing and reports done (all terminal).
-	resp, code, err := c.Lease(jobd.LeaseRequest{})
-	if err != nil || code != http.StatusOK || !resp.Idle || !resp.Done {
-		t.Fatalf("lease over terminal table: %+v code %d err %v", resp, code, err)
-	}
+	assertRunJobDone(t, srv.URL, "job-000001", 7)
 }
 
 // TestDrainStopsLeasingAcceptsCheckpoints: after Drain, no new leases

@@ -3,8 +3,8 @@
 // worker-side client that runs the jobd.Executor lease loop against
 // them. The job table, the lease pool and the summary all live in jobd;
 // a fabric coordinator is simply a scheduler that starts no in-process
-// executors (samuraid -coordinator), so every array cell is leased to
-// remote samuraiw workers.
+// executors (samuraid -coordinator), so every cell of every job — a
+// run job is one cell — is leased to remote samuraiw workers.
 //
 // # Determinism under sharding
 //
@@ -46,9 +46,9 @@ type (
 )
 
 // New builds a coordinator over a freshly opened store: a scheduler
-// with no in-process executors, so array cells are only leased to
-// remote workers and run-type jobs are refused. replayed and maxSeq
-// come from jobd.Open.
+// with no in-process executors, so the cells of every job type are
+// only leased to remote workers. replayed and maxSeq come from
+// jobd.Open.
 func New(store *jobd.Store, replayed []*jobd.Job, maxSeq uint64, opts Options) *Coordinator {
 	opts.MaxJobs = -1
 	c := jobd.New(store, replayed, maxSeq, opts)

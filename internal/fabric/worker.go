@@ -35,7 +35,8 @@ type WorkerOptions struct {
 	// Poll is the idle re-poll interval when no lease is available
 	// (default 500ms).
 	Poll time.Duration
-	// Runner executes one cell (default samurai.ArrayRunnerCtx()).
+	// Runner executes one cell of a run or array lease (default
+	// samurai.ArrayRunnerCtx()).
 	Runner montecarlo.CtxRunner
 	// RareRunner executes one cell of a rare_array lease (default
 	// samurai.RareArrayRunnerCtx()).

@@ -64,7 +64,8 @@ type ExecutorOptions struct {
 	// (default 500ms). In-process executors never poll: Submit, releases
 	// and steals wake them, and so does the earliest lease deadline.
 	Poll time.Duration
-	// Runner executes one cell (default samurai.ArrayRunnerCtx()).
+	// Runner executes one cell of a run or array lease (default
+	// samurai.ArrayRunnerCtx()).
 	Runner montecarlo.CtxRunner
 	// RareRunner executes one cell of a rare_array lease (default
 	// samurai.RareArrayRunnerCtx()).
@@ -91,7 +92,8 @@ func (o ExecutorOptions) withDefaults() ExecutorOptions {
 }
 
 // Executor is the lease loop: it acquires cell-range leases, simulates
-// them with montecarlo.RunArrayCtx restricted to the leased subset, and
+// them (an array lease with montecarlo.RunArrayCtx restricted to the
+// leased subset, a run job's one cell with one runner call), and
 // streams checkpoints back. Executors hold no durable state — killing
 // one loses nothing but the lease TTL.
 type Executor struct {
@@ -99,8 +101,8 @@ type Executor struct {
 	opts   ExecutorOptions
 	// s is the owning scheduler of an in-process executor (nil for a
 	// remote one). It adds what only the job table's own process can
-	// offer: run-type jobs, wake-on-submit, the job's tracer, and the
-	// scheduler's default retry policy and retry reporting.
+	// offer: wake-on-submit, the job's tracer, and the scheduler's
+	// default retry policy and retry reporting.
 	s *Scheduler
 
 	mu sync.Mutex
@@ -165,11 +167,7 @@ func (e *Executor) Run(ctx context.Context) error {
 		var wake <-chan struct{}
 		var steal time.Duration
 		if e.s != nil {
-			var run *Job
-			if grant, run, wake, steal = e.s.next(e.ID()); run != nil {
-				e.s.runJob(run)
-				continue
-			}
+			grant, wake, steal = e.s.next(e.ID())
 		} else {
 			var err error
 			if grant, _, err = e.client.Lease(ctx, LeaseRequest{Worker: e.ID()}); err != nil {
@@ -223,7 +221,7 @@ func (e *Executor) idle(ctx context.Context, wake <-chan struct{}, steal time.Du
 // the renewal heartbeat keeps the lease alive (and cancels the run the
 // moment the scheduler refuses — the lease was stolen or voided,
 // further work is waste), the sender streams checkpoint batches, and
-// the calling goroutine runs the sweep itself.
+// the calling goroutine simulates the cells itself.
 func (e *Executor) runLease(ctx context.Context, grant LeaseResponse) error {
 	if grant.Spec == nil {
 		return fmt.Errorf("jobd: lease %d granted without a spec", grant.Lease)
@@ -271,29 +269,38 @@ func (e *Executor) runLease(ctx context.Context, grant LeaseResponse) error {
 		}
 	}()
 
-	aopts := montecarlo.ArrayOptions{
-		Subset: &montecarlo.IndexRange{Lo: grant.Lo, Hi: grant.Hi},
-		Drain:  e.drain,
-		OnCell: func(o montecarlo.CellOutcome) {
-			mwCellsSim.Inc()
-			recs <- NewCellRecord(o)
-		},
+	onCell := func(o montecarlo.CellOutcome) {
+		mwCellsSim.Inc()
+		recs <- NewCellRecord(o)
 	}
-	run, rare := e.runners(*grant.Spec, grant.Job)
-	if grant.Spec.Type == TypeRareArray {
-		// The executor streams raw records (counts + per-cell log-LR);
-		// the weighted aggregate is the scheduler's to compute once every
-		// cell is durable, so the lease-local one is discarded.
-		aopts.RareEvent = &montecarlo.RareEventSpec{TiltEV: grant.Spec.TiltEV, Runner: rare}
-		run = nil
-	}
+	run := e.runner(*grant.Spec, grant.Job)
 	rctx := lctx
 	if e.s != nil {
 		if tr, ok := e.s.Trace(grant.Job); ok {
 			rctx = trace.NewContext(lctx, tr)
 		}
 	}
-	_, runErr := montecarlo.RunArrayCtx(rctx, cfg, run, aopts)
+	var runErr error
+	if grant.Spec.Type == TypeRun {
+		// A run job's one cell is the nominal cell at the job's seed: no
+		// variation is drawn and the seed is not split.
+		o := montecarlo.CellOutcome{Index: 0}
+		o.Errors, o.Slow, o.TrapCount, _, _, runErr = run(rctx, cfg.Cell, cfg.Pattern, cfg.Scale, 0, cfg.Seed)
+		if runErr == nil {
+			o.Failed = o.Errors > 0
+			onCell(o)
+		}
+	} else {
+		// The executor streams raw records (counts + per-cell log-LR);
+		// the aggregate is the scheduler's to compute once every cell is
+		// durable, so the lease-local one is discarded.
+		_, runErr = montecarlo.RunArrayCtx(rctx, cfg, nil, montecarlo.ArrayOptions{
+			Subset:    &montecarlo.IndexRange{Lo: grant.Lo, Hi: grant.Hi},
+			Drain:     e.drain,
+			OnCell:    onCell,
+			RareEvent: &montecarlo.RareEventSpec{TiltEV: grant.Spec.TiltEV, Runner: run},
+		})
+	}
 	close(recs)
 	<-senderDone
 	cancel()
@@ -339,10 +346,21 @@ func (e *Executor) runLease(ctx context.Context, grant LeaseResponse) error {
 	}
 }
 
-// runners returns the executor's cell runners wrapped in the job's
-// retry policy. An in-process executor falls back to the scheduler's
-// default policy and reports every retry on the job's event stream.
-func (e *Executor) runners(spec Spec, job string) (montecarlo.CtxRunner, montecarlo.RareCtxRunner) {
+// runner returns the lease's cell runner wrapped in the job's retry
+// policy: RareRunner on a rare_array lease, otherwise Runner with log-LR
+// and glitch depth exactly 0, so a plain cell's record carries no
+// rare-event fields. An in-process executor falls back to the
+// scheduler's default policy and reports every retry on the job's event
+// stream.
+func (e *Executor) runner(spec Spec, job string) montecarlo.RareCtxRunner {
+	run := e.opts.RareRunner
+	if spec.Type != TypeRareArray {
+		plain := e.opts.Runner
+		run = func(ctx context.Context, cell sram.CellConfig, pattern sram.Pattern, scale, _ float64, seed uint64) (nerr, slow, traps int, logLR, glitch float64, err error) {
+			nerr, slow, traps, err = plain(ctx, cell, pattern, scale, seed)
+			return nerr, slow, traps, 0, 0, err
+		}
+	}
 	r := spec.Retry
 	var onRetry func(seed uint64, attempt int, err error)
 	if e.s != nil {
@@ -351,7 +369,7 @@ func (e *Executor) runners(spec Spec, job string) (montecarlo.CtxRunner, monteca
 		}
 		onRetry = func(seed uint64, attempt int, err error) { e.s.retried(job, seed, attempt, err) }
 	}
-	return retryRunners(e.opts.Runner, e.opts.RareRunner, r, onRetry)
+	return retryRunner(run, r, onRetry)
 }
 
 // heartbeat renews the lease at a third of its TTL until the lease
@@ -448,24 +466,23 @@ func Backoff(ctx context.Context, max int, backoff, maxBackoff time.Duration, at
 	}
 }
 
-// retryRunners wraps both cell-runner kinds in the Backoff loop for
-// transiently failing cells. Retrying is free of
-// determinism hazards: a cell's outcome — including a rare cell's
-// log-LR and glitch depth — is a pure function of (seed, tiltEV), so a
-// retry either reproduces the failure or yields the one true result.
-// Cancellation is never retried, and the backoff sleep aborts as soon
-// as ctx does. onRetry (optional) observes each attempt that is about
-// to be retried, keyed by the cell's seed — the one stable identifier
-// the runner signatures carry.
-func retryRunners(run montecarlo.CtxRunner, rare montecarlo.RareCtxRunner, r RetrySpec, onRetry func(seed uint64, attempt int, err error)) (montecarlo.CtxRunner, montecarlo.RareCtxRunner) {
+// retryRunner wraps a cell runner in the Backoff loop for transiently
+// failing cells. Retrying is free of determinism hazards: a cell's
+// outcome — including a rare cell's log-LR and glitch depth — is a pure
+// function of (seed, tiltEV), so a retry either reproduces the failure
+// or yields the one true result. Cancellation is never retried, and the
+// backoff sleep aborts as soon as ctx does. onRetry (optional) observes
+// each attempt that is about to be retried, keyed by the cell's seed —
+// the one stable identifier the runner signature carries.
+func retryRunner(run montecarlo.RareCtxRunner, r RetrySpec, onRetry func(seed uint64, attempt int, err error)) montecarlo.RareCtxRunner {
 	if r.Max <= 0 {
-		return run, rare
+		return run
 	}
 	r = r.withDefaults()
-	retry := func(ctx context.Context, seed uint64, attempt func() error) error {
-		return Backoff(ctx, r.Max, time.Duration(r.BackoffMS)*time.Millisecond, time.Duration(r.MaxBackoffMS)*time.Millisecond,
+	return func(ctx context.Context, cell sram.CellConfig, pattern sram.Pattern, scale, tiltEV float64, seed uint64) (nerr, slow, traps int, logLR, glitch float64, err error) {
+		err = Backoff(ctx, r.Max, time.Duration(r.BackoffMS)*time.Millisecond, time.Duration(r.MaxBackoffMS)*time.Millisecond,
 			func(n int) (bool, error) {
-				err := attempt()
+				nerr, slow, traps, logLR, glitch, err = run(ctx, cell, pattern, scale, tiltEV, seed)
 				if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 					return false, err
 				}
@@ -474,20 +491,6 @@ func retryRunners(run montecarlo.CtxRunner, rare montecarlo.RareCtxRunner, r Ret
 				}
 				return true, err
 			})
-	}
-	plain := func(ctx context.Context, cell sram.CellConfig, pattern sram.Pattern, scale float64, seed uint64) (nerr, slow, traps int, err error) {
-		err = retry(ctx, seed, func() error {
-			nerr, slow, traps, err = run(ctx, cell, pattern, scale, seed)
-			return err
-		})
-		return nerr, slow, traps, err
-	}
-	tilted := func(ctx context.Context, cell sram.CellConfig, pattern sram.Pattern, scale, tiltEV float64, seed uint64) (nerr, slow, traps int, logLR, glitch float64, err error) {
-		err = retry(ctx, seed, func() error {
-			nerr, slow, traps, logLR, glitch, err = rare(ctx, cell, pattern, scale, tiltEV, seed)
-			return err
-		})
 		return nerr, slow, traps, logLR, glitch, err
 	}
-	return plain, tilted
 }

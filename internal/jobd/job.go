@@ -1,19 +1,22 @@
 // Package jobd is samuraid's durable job layer: a JSON job model, an
 // append-only JSONL write-ahead store, and the one job table — the
-// Scheduler — that executes methodology runs (samurai.Run) whole and
-// shards Monte-Carlo array sweeps (montecarlo.RunArrayCtx) into
-// cell-range leases with cell-granular checkpoints.
+// Scheduler — that shards every job into cell-range leases with
+// cell-granular checkpoints. A Monte-Carlo array sweep
+// (montecarlo.RunArrayCtx) has one cell per array instance; a
+// methodology run (samurai.Run) is a job of one cell, the nominal cell
+// at the job's seed.
 //
 // # One execution path
 //
-// Every array cell reaches the WAL through the same lease protocol:
-// Lease hands out a contiguous cell range, Checkpoint appends finished
-// cells (bit-verifying duplicates), and the summary is recomputed from
-// the durable records once the last cell lands. The Scheduler's own
-// in-process executors call Lease and Checkpoint directly; remote
-// workers (internal/fabric, cmd/samuraiw) run the identical Executor
-// loop over HTTP. A single-node result and a distributed one are
-// therefore bit-identical by construction.
+// Every cell of every job reaches the WAL through the same lease
+// protocol: Lease hands out a contiguous cell range, Checkpoint appends
+// finished cells (bit-verifying duplicates), and the summary is
+// recomputed from the durable records once the last cell lands. The
+// Scheduler's own in-process executors call Lease and Checkpoint
+// directly; remote workers (internal/fabric, cmd/samuraiw) run the
+// identical Executor loop over HTTP. A single-node result and a
+// distributed one are therefore bit-identical by construction, and
+// every job retries, cancels, drains and resumes the same way.
 //
 // # Determinism under resume
 //
@@ -30,10 +33,10 @@ package jobd
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
-	"samurai"
 	"samurai/internal/device"
 	"samurai/internal/montecarlo"
 	"samurai/internal/obs/trace"
@@ -43,17 +46,10 @@ import (
 
 // Job types accepted in Spec.Type.
 const (
-	TypeRun       = "run"        // one full two-pass methodology run
+	TypeRun       = "run"        // one full two-pass methodology run: a job of one cell
 	TypeArray     = "array"      // Monte-Carlo array sweep
 	TypeRareArray = "rare_array" // importance-sampled rare-event array sweep
 )
-
-// ArrayLike reports whether typ executes as a cell-sharded array sweep
-// (plain or importance-sampled) — the shape the scheduler checkpoints
-// cell by cell and the fabric shards into leases.
-func ArrayLike(typ string) bool {
-	return typ == TypeArray || typ == TypeRareArray
-}
 
 // State is a job lifecycle state.
 type State string
@@ -109,7 +105,7 @@ func (r RetrySpec) withDefaults() RetrySpec {
 
 // Spec is the submitted job description (the POST /jobs payload).
 type Spec struct {
-	// Type selects the workload: "run" or "array".
+	// Type selects the workload: "run", "array" or "rare_array".
 	Type string `json:"type"`
 	// Tech names the technology node (default "90nm", matching
 	// samurai.Config).
@@ -126,11 +122,11 @@ type Spec struct {
 	// Cells is the array size (array jobs only).
 	Cells int `json:"cells,omitempty"`
 	// WithRTN disables the RTN pass when explicitly false (array jobs;
-	// default true).
+	// default true). A run job always runs the RTN pass.
 	WithRTN *bool `json:"with_rtn,omitempty"`
 	// Workers bounds the per-job cell parallelism; 0 → GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
-	// Retry is the per-cell retry policy (array jobs).
+	// Retry is the per-cell retry policy (a run job's one cell too).
 	Retry RetrySpec `json:"retry,omitempty"`
 	// TiltEV is the importance-sampling energy tilt in eV (rare_array
 	// jobs only). 0 runs the untilted kernel — bit-identical to a plain
@@ -174,18 +170,21 @@ func (s Spec) Validate() error {
 		if s.WithRTN != nil && !*s.WithRTN {
 			return fmt.Errorf("jobd: %q jobs always run the RTN pass; with_rtn=false is contradictory", TypeRareArray)
 		}
-		if s.TiltEV < -2 || s.TiltEV > 2 {
+		if math.IsNaN(s.TiltEV) || s.TiltEV < -2 || s.TiltEV > 2 {
 			return fmt.Errorf("jobd: tilt_ev %g out of [-2, 2] eV", s.TiltEV)
 		}
 	}
 	if _, ok := device.NodeOK(s.Tech); !ok {
 		return fmt.Errorf("jobd: unknown technology node %q", s.Tech)
 	}
-	if s.VddFrac <= 0 || s.VddFrac > 2 {
+	// NaN fails every comparison, so each range check tests for it
+	// explicitly. A non-finite value would otherwise pass, and then fail
+	// in the WAL encoder: JSON cannot carry it.
+	if math.IsNaN(s.VddFrac) || s.VddFrac <= 0 || s.VddFrac > 2 {
 		return fmt.Errorf("jobd: vdd_frac %g out of (0, 2]", s.VddFrac)
 	}
-	if s.Scale < 0 {
-		return fmt.Errorf("jobd: negative RTN scale %g", s.Scale)
+	if math.IsNaN(s.Scale) || math.IsInf(s.Scale, 0) || s.Scale < 0 {
+		return fmt.Errorf("jobd: RTN scale %g is not a finite non-negative number", s.Scale)
 	}
 	for _, c := range s.Pattern {
 		if c != '0' && c != '1' {
@@ -214,16 +213,15 @@ func (s Spec) pattern(vdd float64) sram.Pattern {
 	return sram.Pattern{Bits: bits, Timing: sram.DefaultTiming(), Vdd: vdd}
 }
 
-// ArrayConfig translates an array spec into the montecarlo config it
-// executes. The translation is deterministic: the same spec always
-// yields the same config, which is what makes stored jobs resumable.
+// ArrayConfig translates a spec into the montecarlo config its leases
+// execute. A run job's one cell is the config's nominal Cell at its Seed
+// and Scale, with no variation drawn and WithRTN ignored. The
+// translation is deterministic: the same spec always yields the same
+// config, which is what makes stored jobs resumable.
 func (s Spec) ArrayConfig() (montecarlo.ArrayConfig, error) {
 	s = s.withDefaults()
 	if err := s.Validate(); err != nil {
 		return montecarlo.ArrayConfig{}, err
-	}
-	if !ArrayLike(s.Type) {
-		return montecarlo.ArrayConfig{}, fmt.Errorf("jobd: ArrayConfig on a %q job", s.Type)
 	}
 	tech := device.Node(s.Tech)
 	vdd := s.VddFrac * tech.Vdd
@@ -240,26 +238,6 @@ func (s Spec) ArrayConfig() (montecarlo.ArrayConfig, error) {
 		Seed:    s.Seed,
 		WithRTN: withRTN,
 		Workers: s.Workers,
-	}, nil
-}
-
-// RunConfig translates a run spec into the samurai methodology config.
-func (s Spec) RunConfig() (samurai.Config, error) {
-	s = s.withDefaults()
-	if err := s.Validate(); err != nil {
-		return samurai.Config{}, err
-	}
-	if s.Type != TypeRun {
-		return samurai.Config{}, fmt.Errorf("jobd: RunConfig on a %q job", s.Type)
-	}
-	tech := device.Node(s.Tech)
-	vdd := s.VddFrac * tech.Vdd
-	return samurai.Config{
-		Tech:    tech,
-		Cell:    sram.CellConfig{Tech: tech, Vdd: vdd},
-		Pattern: s.pattern(vdd),
-		Seed:    s.Seed,
-		Scale:   s.Scale,
 	}, nil
 }
 
@@ -302,14 +280,14 @@ type Job struct {
 	Spec  Spec
 	State State
 	Error string
-	// CellsTotal is Spec.Cells for array jobs, 0 for run jobs.
+	// CellsTotal is Spec.Cells for array jobs, 1 for run jobs.
 	CellsTotal int
 	// Resumes counts how many times the job was picked back up with
 	// checkpointed cells already in the store.
 	Resumes int
 	Result  *Summary
-	// cells holds the checkpointed per-cell outcomes (array jobs),
-	// keyed by cell index. After a clean finish it covers every cell.
+	// cells holds the checkpointed per-cell outcomes, keyed by cell
+	// index. After a clean finish it covers every cell.
 	cells map[int]CellRecord
 	// tracer collects the causal trace and flight-recorder notes of the
 	// job's current (or most recent) run. Rebuilt each time the job is
@@ -320,8 +298,8 @@ type Job struct {
 	runStart time.Time
 	runBase  int
 
-	// The lease pool of a live array job (see lease.go). It is soft
-	// state: rebuilt from the checkpoints on replay, never persisted.
+	// The lease pool of a live job (see lease.go). It is soft state:
+	// rebuilt from the checkpoints on replay, never persisted.
 	//
 	// pending marks cells neither checkpointed nor leased; leased maps a
 	// leased cell to its lease id (ids start at 1, so the zero value of
@@ -330,6 +308,17 @@ type Job struct {
 	nPend   int
 	leased  map[int]uint64
 	steals  int
+}
+
+// newJob builds a queued job without checkpoints. Every job has at
+// least one cell: a validated run spec carries no cell count, and its
+// one cell is the nominal cell.
+func newJob(id string, seq uint64, spec Spec) *Job {
+	return &Job{
+		ID: id, Seq: seq, Spec: spec, State: StateQueued,
+		CellsTotal: max(spec.Cells, 1),
+		cells:      map[int]CellRecord{},
+	}
 }
 
 // Done returns the number of checkpointed cells.

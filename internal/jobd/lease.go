@@ -75,7 +75,7 @@ type LeaseResponse struct {
 	Worker string `json:"worker"`
 	// Lease identifies the granted lease; 0 when Idle.
 	Lease uint64 `json:"lease,omitempty"`
-	// Job and Spec describe the sweep the leased cells belong to.
+	// Job and Spec describe the job the leased cells belong to.
 	Job  string `json:"job,omitempty"`
 	Spec *Spec  `json:"spec,omitempty"`
 	// Lo and Hi bound the leased contiguous cell-index range [Lo, Hi).
@@ -197,12 +197,12 @@ type workerInfo struct {
 	last   time.Time
 }
 
-// resetPool rebuilds a live array job's lease pool from its
-// checkpoints: every cell without a durable record is pending. Terminal
-// and run-type jobs have no pool.
+// resetPool rebuilds a live job's lease pool from its checkpoints:
+// every cell without a durable record is pending. Terminal jobs have no
+// pool.
 func (j *Job) resetPool() {
 	j.leased = map[int]uint64{}
-	if !ArrayLike(j.Spec.Type) || j.State.Terminal() {
+	if j.State.Terminal() {
 		return
 	}
 	j.pending = make([]bool, j.CellsTotal)
@@ -384,8 +384,7 @@ func (s *Scheduler) lease(req LeaseRequest) (LeaseResponse, int, error) {
 	case req.Release != 0:
 		return s.releaseLocked(w, req)
 	}
-	grant, _ := s.acquireLocked(w, now, false)
-	return grant, http.StatusOK, nil
+	return s.acquireLocked(w, now, false), http.StatusOK, nil
 }
 
 // errNotHeld answers a renew or release of a lease the caller does not
@@ -432,34 +431,29 @@ func (s *Scheduler) releaseLocked(w *workerInfo, req LeaseRequest) (LeaseRespons
 }
 
 // acquireLocked grants the first available cell run, walking jobs in
-// submission order. With local set (in-process executors) it instead
-// claims a queued run-type job that comes first, so both job types
-// start in submission order (the claimed job is returned), and grants
+// submission order. With local set (in-process executors) it grants
 // LeaseCells per cell worker: the lease is then that many waves of
 // cells deep, so the wait for its slowest cell stays a small share of
 // it however many cores the job runs on. Remote leases stay LeaseCells
-// wide, so a dead worker strands little.
-func (s *Scheduler) acquireLocked(w *workerInfo, now time.Time, local bool) (LeaseResponse, *Job) {
+// wide, so a dead worker strands little. A run job's lease is its one
+// cell either way.
+func (s *Scheduler) acquireLocked(w *workerInfo, now time.Time, local bool) LeaseResponse {
 	for _, id := range s.order {
 		if s.draining {
 			break
 		}
-		switch j := s.jobs[id]; {
-		case local && j.Spec.Type == TypeRun && j.State == StateQueued:
-			s.pickupLocked(j)
-			return LeaseResponse{Worker: w.id, Job: id}, j
-		case j.leasable():
+		if j := s.jobs[id]; j.leasable() {
 			width := s.opts.LeaseCells
 			if local {
 				width *= max(cmp.Or(j.Spec.Workers, s.opts.Workers, runtime.GOMAXPROCS(0)), 1)
 			}
-			return s.grantLocked(w, j, width, now), nil
+			return s.grantLocked(w, j, width, now)
 		}
 	}
 	return LeaseResponse{
 		Worker: w.id, Idle: true,
 		Done: s.draining || s.allTerminalLocked(),
-	}, nil
+	}
 }
 
 // grantLocked leases the job's first run of pending cells, at most
@@ -603,16 +597,22 @@ func (s *Scheduler) retireLeasesLocked(j *Job) {
 	}
 }
 
-// finalizeLocked completes a fully checkpointed array job: the summary
-// is recomputed from the durable records with the operations
-// montecarlo.RunArrayCtx uses (a count and an integer sum, each divided
-// by the cell count; the weighted estimator fed in index order), so it
-// is bit-identical to an uninterrupted single-process sweep however the
-// cells were leased, stolen or resumed.
+// finalizeLocked completes a fully checkpointed job. A run job's summary
+// is its one cell's counts. An array job's is recomputed from the
+// durable records with the operations montecarlo.RunArrayCtx uses (a
+// count and an integer sum, each divided by the cell count; the
+// weighted estimator fed in index order), so it is bit-identical to an
+// uninterrupted single-process sweep however the cells were leased,
+// stolen or resumed.
 func (s *Scheduler) finalizeLocked(j *Job) {
+	recs := j.Records()
+	if j.Spec.Type == TypeRun {
+		s.finishLocked(j, Summary{WriteErrors: recs[0].Errors, Slowdowns: recs[0].Slow, Traps: recs[0].TrapCount})
+		return
+	}
 	numFailed, trapSum := 0, 0
 	var est rareevent.Estimator
-	for _, rec := range j.Records() {
+	for _, rec := range recs {
 		x := 0.0
 		if rec.Failed {
 			numFailed++

@@ -226,6 +226,34 @@ func TestSchedulerRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSpecValidateRejectsNonFinite: JSON carries no NaN or Inf, so such
+// a float reaches a spec only through the Go API. Validate refuses it,
+// before the WAL encoder would fail on it and count a store error.
+func TestSpecValidateRejectsNonFinite(t *testing.T) {
+	st, jobs, seq := mustOpen(t, filepath.Join(t.TempDir(), "store.jsonl"))
+	s := New(st, jobs, seq, Options{MaxJobs: -1})
+	before := mStoreErrors.Value()
+	for _, spec := range []Spec{
+		{Type: TypeArray, Cells: 2, Scale: math.Inf(1)},
+		{Type: TypeArray, Cells: 2, Scale: math.NaN()},
+		{Type: TypeArray, Cells: 2, VddFrac: math.NaN()},
+		{Type: TypeRareArray, Cells: 2, TiltEV: math.NaN()},
+	} {
+		if err := spec.withDefaults().Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", spec)
+		}
+		if _, err := spec.ArrayConfig(); err == nil {
+			t.Errorf("ArrayConfig accepted %+v", spec)
+		}
+		if _, err := s.Submit(spec); err == nil {
+			t.Errorf("Submit accepted %+v", spec)
+		}
+	}
+	if got := mStoreErrors.Value(); got != before {
+		t.Fatalf("store errors %d → %d: a non-finite spec reached the WAL encoder", before, got)
+	}
+}
+
 func TestSchedulerSubmitAfterDrainRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
 	st, jobs, seq := mustOpen(t, path)

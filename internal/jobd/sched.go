@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"samurai"
 	"samurai/internal/obs"
 	"samurai/internal/obs/trace"
 )
@@ -23,7 +22,7 @@ var (
 	mResumes = obs.GetCounter("samurai_jobd_resumes_total",
 		"sweeps picked back up with checkpointed cells in the store")
 	mCellsCheckpointed = obs.GetCounter("samurai_jobd_cells_checkpointed_total",
-		"array cells durably recorded in the job store")
+		"cells durably recorded in the job store")
 	mStoreErrors = obs.GetCounter("samurai_jobd_store_errors_total",
 		"failed write-ahead store appends")
 )
@@ -46,18 +45,14 @@ var (
 	ErrDraining = errors.New("jobd: scheduler is draining; not accepting jobs")
 	// ErrNoJob wraps every lookup of an unknown job id.
 	ErrNoJob = errors.New("jobd: no job")
-	// errRunNeedsExecutor refuses run-type jobs on a scheduler without
-	// in-process executors: a run has no cells to lease out.
-	errRunNeedsExecutor = fmt.Errorf("jobd: %q jobs need an in-process executor; this scheduler only leases array cells", TypeRun)
 )
 
 // Options tunes a Scheduler. The zero value is usable.
 type Options struct {
 	// MaxJobs is the number of in-process executors Start launches
-	// (default 1): each one runs run-type jobs whole and leases array
-	// cells, which it simulates with the job's own cell parallelism.
-	// Negative launches none: the scheduler then only leases array cells
-	// to remote workers and refuses run-type jobs.
+	// (default 1): each one leases cells of any job and simulates them
+	// with the job's own cell parallelism. Negative launches none: every
+	// cell is then leased to remote workers.
 	MaxJobs int
 	// QueueCap bounds the jobs waiting to start (default 256); Submit
 	// fails once that many are queued.
@@ -138,9 +133,6 @@ type Scheduler struct {
 	started bool
 	// draining flips once; guarded by mu, signalled by drainCh.
 	draining bool
-	// cancels aborts the running run-type jobs; array jobs are cancelled
-	// by voiding their leases.
-	cancels map[string]context.CancelFunc
 	// wake is closed (and replaced) whenever work may have appeared for
 	// an idle in-process executor.
 	wake chan struct{}
@@ -157,10 +149,11 @@ type Scheduler struct {
 
 // New builds a scheduler over a freshly opened store. replayed and
 // maxSeq come from Open; replayed jobs keep their stored state, and
-// the lease pools of queued array jobs (including drained or crashed
-// sweeps) are rebuilt from their checkpoints. Without in-process
-// executors (MaxJobs < 0) a non-terminal replayed run-type job is
-// failed loudly instead of hanging queued forever.
+// the lease pools of queued jobs (including drained or crashed sweeps)
+// are rebuilt from their checkpoints. A replayed job whose every cell
+// is durable but whose result never reached the WAL (a crash between
+// its last checkpoint and its result record) is finished here, with
+// the summary its records give.
 func New(store *Store, replayed []*Job, maxSeq uint64, opts Options) *Scheduler {
 	s := &Scheduler{
 		store:   store,
@@ -168,7 +161,6 @@ func New(store *Store, replayed []*Job, maxSeq uint64, opts Options) *Scheduler 
 		hub:     newHub(),
 		jobs:    map[string]*Job{},
 		seq:     maxSeq,
-		cancels: map[string]context.CancelFunc{},
 		wake:    make(chan struct{}),
 		leases:  map[uint64]*lease{},
 		workers: map[string]*workerInfo{},
@@ -185,8 +177,8 @@ func New(store *Store, replayed []*Job, maxSeq uint64, opts Options) *Scheduler 
 		j.resetPool()
 		if j.State.Terminal() {
 			s.hub.finish(j.ID)
-		} else if j.Spec.Type == TypeRun && s.opts.MaxJobs < 0 {
-			s.transitionLocked(j, StateFailed, errRunNeedsExecutor.Error())
+		} else if j.Done() == j.CellsTotal {
+			s.finalizeLocked(j)
 		}
 	}
 	return s
@@ -233,26 +225,25 @@ func (s *Scheduler) notifyLocked() {
 	s.wake = make(chan struct{})
 }
 
-// next is an in-process executor's acquire: under one lock it claims
-// the first queued run-type job or grants the first lease, whichever
-// comes first in submission order. It also returns the channel the next
-// Submit, release or steal closes, so an idle executor cannot miss the
-// work that appears after this call, and, when idle, how long until the
-// earliest outstanding lease can be stolen (0 with none): a lease whose
-// remote holder died is reaped only by a lease-protocol call, and the
-// idle executor may be the last one left to make it.
-func (s *Scheduler) next(worker string) (LeaseResponse, *Job, <-chan struct{}, time.Duration) {
+// next is an in-process executor's acquire: under one lock it grants
+// the first lease in submission order. It also returns the channel the
+// next Submit, release or steal closes, so an idle executor cannot miss
+// the work that appears after this call, and, when idle, how long until
+// the earliest outstanding lease can be stolen (0 with none): a lease
+// whose remote holder died is reaped only by a lease-protocol call, and
+// the idle executor may be the last one left to make it.
+func (s *Scheduler) next(worker string) (LeaseResponse, <-chan struct{}, time.Duration) {
 	now := s.opts.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w := s.touchWorkerLocked(worker, now)
 	s.reapLocked(now)
-	grant, run := s.acquireLocked(w, now, true)
+	grant := s.acquireLocked(w, now, true)
 	var steal time.Duration
 	if grant.Idle {
 		steal = s.untilStealLocked(now)
 	}
-	return grant, run, s.wake, steal
+	return grant, s.wake, steal
 }
 
 // Submit validates, persists and queues a new job, returning its view.
@@ -260,9 +251,6 @@ func (s *Scheduler) Submit(spec Spec) (View, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return View{}, err
-	}
-	if spec.Type == TypeRun && s.opts.MaxJobs < 0 {
-		return View{}, errRunNeedsExecutor
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -273,16 +261,7 @@ func (s *Scheduler) Submit(spec Spec) (View, error) {
 		return View{}, fmt.Errorf("jobd: queue full (%d jobs)", s.nQueued)
 	}
 	s.seq++
-	j := &Job{
-		ID:    fmt.Sprintf("job-%06d", s.seq),
-		Seq:   s.seq,
-		Spec:  spec,
-		State: StateQueued,
-		cells: map[int]CellRecord{},
-	}
-	if ArrayLike(spec.Type) {
-		j.CellsTotal = spec.Cells
-	}
+	j := newJob(fmt.Sprintf("job-%06d", s.seq), s.seq, spec)
 	if err := s.store.AppendJob(j); err != nil {
 		mStoreErrors.Inc()
 		return View{}, err
@@ -356,12 +335,10 @@ func (s *Scheduler) Events(id string) (<-chan obs.Event, func(), bool) {
 	return ch, cancel, true
 }
 
-// Cancel aborts a job. A queued or leased one transitions at once —
-// its leases are void, so every executor holding one stops at its next
-// renewal or checkpoint, and no cell lands after the transition. A
-// running run-type job has its context cancelled; the transition
-// happens when its executor observes it. An unknown job returns an
-// error wrapping ErrNoJob; a terminal one, any other error.
+// Cancel aborts a job. It transitions at once and its leases are void,
+// so every executor holding one stops at its next renewal or
+// checkpoint, and no cell lands after the transition. An unknown job
+// returns an error wrapping ErrNoJob; a terminal one, any other error.
 func (s *Scheduler) Cancel(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -371,10 +348,6 @@ func (s *Scheduler) Cancel(id string) error {
 		return fmt.Errorf("%w %q", ErrNoJob, id)
 	case j.State.Terminal():
 		return fmt.Errorf("jobd: job %q already %s", id, j.State)
-	}
-	if cancel := s.cancels[id]; cancel != nil {
-		cancel()
-		return nil
 	}
 	msg := "canceled"
 	if j.State == StateQueued {
@@ -507,36 +480,6 @@ func (s *Scheduler) retried(id string, seed uint64, attempt int, err error) {
 	s.dumpFlight(id, tr, "retry")
 }
 
-// runJob executes a claimed run-type job whole. Cancel may have ended
-// it between the claim and here.
-func (s *Scheduler) runJob(j *Job) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	s.mu.Lock()
-	if j.State != StateRunning {
-		s.mu.Unlock()
-		return
-	}
-	s.cancels[j.ID] = cancel
-	ctx = trace.NewContext(ctx, j.tracer)
-	spec := j.Spec
-	s.mu.Unlock()
-
-	sum, err := execRun(ctx, spec)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.cancels, j.ID)
-	switch {
-	case err == nil:
-		s.finishLocked(j, *sum)
-	case errors.Is(err, context.Canceled):
-		s.transitionLocked(j, StateCanceled, "canceled")
-	default:
-		s.failLocked(j, err.Error())
-	}
-}
-
 // dumpFlight writes the tracer's flight-recorder contents next to the
 // WAL as <jobID>-flight-<reason>.jsonl, so the last moments of a
 // failed, retried or drained run survive for post-mortem inspection.
@@ -561,25 +504,4 @@ func (s *Scheduler) dumpFlight(id string, tr *trace.Tracer, reason string) {
 		fields = append(fields, obs.F("error", werr.Error()))
 	}
 	s.emit(id, "jobd.flightdump", fields...)
-}
-
-// execRun executes a single methodology run job.
-func execRun(ctx context.Context, spec Spec) (*Summary, error) {
-	cfg, err := spec.RunConfig()
-	if err != nil {
-		return nil, err
-	}
-	res, err := samurai.RunCtx(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	traps := 0
-	for _, p := range res.Profiles {
-		traps += len(p.Traps)
-	}
-	return &Summary{
-		WriteErrors: res.WithRTN.NumError,
-		Slowdowns:   res.WithRTN.NumSlow,
-		Traps:       traps,
-	}, nil
 }

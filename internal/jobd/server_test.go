@@ -3,6 +3,7 @@ package jobd
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"samurai"
+	"samurai/internal/device"
+	"samurai/internal/sram"
 )
 
 // newTestServer boots a scheduler + handler on an httptest server.
@@ -335,6 +340,26 @@ func TestServerRunJob(t *testing.T) {
 	}
 	if cur.Result == nil {
 		t.Fatal("run job has no result summary")
+	}
+	// The in-process executor ran the job as one lease of its one
+	// nominal cell: the summary is samurai.RunCtx's at the seed.
+	tech := device.Node("90nm")
+	res, err := samurai.RunCtx(context.Background(), samurai.Config{
+		Tech:    tech,
+		Cell:    sram.CellConfig{Tech: tech, Vdd: tech.Vdd},
+		Pattern: sram.Fig8Pattern(tech.Vdd),
+		Seed:    3,
+		Scale:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Summary{WriteErrors: res.WithRTN.NumError, Slowdowns: res.WithRTN.NumSlow}
+	for _, p := range res.Profiles {
+		want.Traps += len(p.Traps)
+	}
+	if *cur.Result != want || cur.CellsTotal != 1 || cur.CellsDone != 1 {
+		t.Fatalf("run job: %d/%d cells, summary %+v, want 1/1 and %+v", cur.CellsDone, cur.CellsTotal, cur.Result, want)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 	"samurai/internal/montecarlo"
 )
 
-// CellRecord is the JSON-safe checkpoint of one completed array cell.
+// CellRecord is the JSON-safe checkpoint of one completed cell: an
+// array instance, or a run job's one nominal cell (index 0, no VtShift).
 // It mirrors montecarlo.CellOutcome minus the error field: only cells
 // that finished without a simulation error are checkpointed, so the
 // record holds the whole outcome — including bit-exact float64 fields,
@@ -186,16 +187,7 @@ func apply(byID map[string]*Job, jobs *[]*Job, rec record) error {
 		if _, dup := byID[rec.ID]; dup {
 			return fmt.Errorf("duplicate job id %q", rec.ID)
 		}
-		j := &Job{
-			ID:    rec.ID,
-			Seq:   rec.Seq,
-			Spec:  *rec.Spec,
-			State: StateQueued,
-			cells: map[int]CellRecord{},
-		}
-		if ArrayLike(rec.Spec.Type) {
-			j.CellsTotal = rec.Spec.Cells
-		}
+		j := newJob(rec.ID, rec.Seq, *rec.Spec)
 		byID[rec.ID] = j
 		*jobs = append(*jobs, j)
 	case "state":
@@ -216,7 +208,7 @@ func apply(byID map[string]*Job, jobs *[]*Job, rec record) error {
 		if rec.Cell == nil {
 			return fmt.Errorf("cell record without a cell")
 		}
-		if rec.Cell.Index < 0 || (j.CellsTotal > 0 && rec.Cell.Index >= j.CellsTotal) {
+		if rec.Cell.Index < 0 || rec.Cell.Index >= j.CellsTotal {
 			return fmt.Errorf("cell index %d outside [0,%d)", rec.Cell.Index, j.CellsTotal)
 		}
 		j.cells[rec.Cell.Index] = *rec.Cell

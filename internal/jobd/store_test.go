@@ -2,6 +2,7 @@ package jobd
 
 import (
 	"math"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -113,6 +114,42 @@ func TestStoreRunningJobReplaysAsQueued(t *testing.T) {
 	}
 	if replayed[0].Done() != 1 {
 		t.Fatalf("checkpointed cells lost: %d", replayed[0].Done())
+	}
+}
+
+// TestReplayedJobWithLostResultFinishes: a crash between the last
+// checkpoint's fsync and the result append leaves every cell durable
+// and no result record. The scheduler built over that WAL finishes the
+// job with the summary its records give, instead of holding it queued
+// with nothing left to lease.
+func TestReplayedJobWithLostResultFinishes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	wal := walLines(
+		`{"rec":"job","id":"job-000001","seq":1,"spec":{"type":"array","seed":7,"cells":2}}`,
+		`{"rec":"state","id":"job-000001","state":"running"}`,
+		`{"rec":"cell","id":"job-000001","cell":{"index":0,"trap_count":3,"errors":1,"slow":0,"failed":true}}`,
+		`{"rec":"cell","id":"job-000001","cell":{"index":1,"trap_count":2,"errors":0,"slow":1,"failed":false}}`,
+	)
+	if err := os.WriteFile(path, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := Summary{NumFailed: 1, ErrorRate: 0.5, MeanTraps: 2.5}
+	st, jobs, seq := mustOpen(t, path)
+	s := New(st, jobs, seq, Options{MaxJobs: -1})
+	if v, _ := s.Get("job-000001"); v.State != StateDone || v.Result == nil || *v.Result != want {
+		t.Fatalf("replayed job: %s with %+v, want done with %+v", v.State, v.Result, want)
+	}
+	resp, code, err := s.Lease(LeaseRequest{})
+	if err != nil || code != http.StatusOK || !resp.Idle || !resp.Done {
+		t.Fatalf("lease over the finished table: %+v code %d err %v", resp, code, err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The summary is durable: the next replay reads the job back done.
+	_, jobs, _ = mustOpen(t, path)
+	if jobs[0].State != StateDone || jobs[0].Result == nil || *jobs[0].Result != want {
+		t.Fatalf("second replay: %s with %+v, want done with %+v", jobs[0].State, jobs[0].Result, want)
 	}
 }
 

@@ -270,23 +270,23 @@ func TestSchedulerFlightDumpOnDrain(t *testing.T) {
 func TestRetryRunnerNotifiesOnRetry(t *testing.T) {
 	fails := 2
 	var calls []int
-	run := func(ctx context.Context, cell sram.CellConfig, pattern sram.Pattern, scale float64, seed uint64) (int, int, int, error) {
+	run := func(ctx context.Context, cell sram.CellConfig, pattern sram.Pattern, scale, tiltEV float64, seed uint64) (int, int, int, float64, float64, error) {
 		if fails > 0 {
 			fails--
-			return 0, 0, 0, errors.New("transient")
+			return 0, 0, 0, 0, 0, errors.New("transient")
 		}
-		return 1, 2, 3, nil
+		return 1, 2, 3, -0.5, 0.25, nil
 	}
-	wrapped, _ := retryRunners(run, nil, RetrySpec{Max: 3, BackoffMS: 1, MaxBackoffMS: 1},
+	wrapped := retryRunner(run, RetrySpec{Max: 3, BackoffMS: 1, MaxBackoffMS: 1},
 		func(seed uint64, attempt int, err error) {
 			if seed != 77 || err == nil {
 				t.Errorf("onRetry(seed=%d, err=%v)", seed, err)
 			}
 			calls = append(calls, attempt)
 		})
-	nerr, slow, traps, err := wrapped(context.Background(), sram.CellConfig{}, sram.Pattern{}, 1, 77)
-	if err != nil || nerr != 1 || slow != 2 || traps != 3 {
-		t.Fatalf("wrapped runner = (%d,%d,%d,%v)", nerr, slow, traps, err)
+	nerr, slow, traps, logLR, glitch, err := wrapped(context.Background(), sram.CellConfig{}, sram.Pattern{}, 1, -0.1, 77)
+	if err != nil || nerr != 1 || slow != 2 || traps != 3 || logLR != -0.5 || glitch != 0.25 {
+		t.Fatalf("wrapped runner = (%d,%d,%d,%g,%g,%v)", nerr, slow, traps, logLR, glitch, err)
 	}
 	if len(calls) != 2 {
 		t.Fatalf("onRetry fired %d times, want 2 (attempts: %v)", len(calls), calls)
@@ -296,13 +296,13 @@ func TestRetryRunnerNotifiesOnRetry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	reported := false
-	wrapped, _ = retryRunners(
-		func(ctx context.Context, cell sram.CellConfig, pattern sram.Pattern, scale float64, seed uint64) (int, int, int, error) {
-			return 0, 0, 0, ctx.Err()
-		}, nil,
+	wrapped = retryRunner(
+		func(ctx context.Context, cell sram.CellConfig, pattern sram.Pattern, scale, tiltEV float64, seed uint64) (int, int, int, float64, float64, error) {
+			return 0, 0, 0, 0, 0, ctx.Err()
+		},
 		RetrySpec{Max: 3, BackoffMS: 1, MaxBackoffMS: 1},
 		func(uint64, int, error) { reported = true })
-	if _, _, _, err := wrapped(ctx, sram.CellConfig{}, sram.Pattern{}, 1, 1); !errors.Is(err, context.Canceled) {
+	if _, _, _, _, _, err := wrapped(ctx, sram.CellConfig{}, sram.Pattern{}, 1, 0, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled runner returned %v", err)
 	}
 	if reported {

@@ -34,7 +34,6 @@ var callSinks = map[string]string{
 // seeded simulation entry points whose outputs golden tests replay.
 var returnSinks = map[string]string{
 	"samurai/internal/montecarlo.simulateCell": "per-cell Monte Carlo outcome",
-	"samurai/internal/montecarlo.RunArray":     "Monte Carlo array result",
 	"samurai/internal/montecarlo.RunArrayCtx":  "Monte Carlo array result",
 	"samurai.Run":    "seeded transient simulation result",
 	"samurai.RunCtx": "seeded transient simulation result",

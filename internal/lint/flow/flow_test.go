@@ -201,8 +201,8 @@ func simulateCell(cfg ArrayConfig, i int, r *rng.Stream) CellOutcome {
 	return CellOutcome{Index: i, Value: v}
 }
 
-// RunArray runs every cell from the job seed.
-func RunArray(cfg ArrayConfig) []CellOutcome {
+// RunArrayCtx runs every cell from the job seed.
+func RunArrayCtx(cfg ArrayConfig) []CellOutcome {
 	root := rng.New(cfg.Seed)
 	out := make([]CellOutcome, cfg.Cells)
 	for i := 0; i < cfg.Cells; i++ {
@@ -227,7 +227,7 @@ func TestDetflowCatchesInjectedTimeNowOnMonteCarloResultPath(t *testing.T) {
 	// per-cell outcome and the array result built from it.
 	wantN(t, got, 2)
 	wantChain(t, got, "per-cell Monte Carlo outcome", "wall-clock time", "simulateCell")
-	wantChain(t, got, "Monte Carlo array result", "wall-clock time", "simulateCell", "RunArray")
+	wantChain(t, got, "Monte Carlo array result", "wall-clock time", "simulateCell", "RunArrayCtx")
 }
 
 func TestDetflowCleanMonteCarloPathPasses(t *testing.T) {

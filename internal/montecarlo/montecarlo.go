@@ -41,7 +41,7 @@ var (
 	mCellSeconds = obs.GetHistogram("samurai_mc_cell_seconds",
 		"wall-clock duration of one cell simulation", obs.TimeBuckets())
 	mCellsPerSec = obs.GetGauge("samurai_mc_cells_per_second",
-		"throughput of the most recent RunArray")
+		"throughput of the most recent RunArrayCtx")
 )
 
 // workerBusy resolves the per-worker utilisation counter.
@@ -109,18 +109,15 @@ type ArrayResult struct {
 	Rare *rareevent.ArrayStats
 }
 
-// Runner executes the methodology on one cell instance and reports the
-// write-error count, slowdown count and sampled trap total. A scale of
-// 0 means "simulate without RTN" (variation-only reference). The
-// indirection keeps this package from importing the public samurai
-// package; samurai.ArrayRunner provides the standard implementation.
-type Runner func(cell sram.CellConfig, pattern sram.Pattern, scale float64, seed uint64) (errors, slow, traps int, err error)
-
-// CtxRunner is a context-aware Runner: cancelling ctx aborts the cell
-// mid-simulation (the public samurai.ArrayRunnerCtx plumbs it down to
-// the circuit transient loop). The result for a given (cell, pattern,
-// scale, seed) must not depend on ctx — cancellation may only abort,
-// never perturb.
+// CtxRunner executes the methodology on one cell instance and reports
+// the write-error count, slowdown count and sampled trap total. A scale
+// of 0 means "simulate without RTN" (variation-only reference).
+// Cancelling ctx aborts the cell mid-simulation (the public
+// samurai.ArrayRunnerCtx plumbs it down to the circuit transient loop).
+// The result for a given (cell, pattern, scale, seed) must not depend
+// on ctx — cancellation may only abort, never perturb. The indirection
+// keeps this package from importing the public samurai package;
+// samurai.ArrayRunnerCtx provides the standard implementation.
 type CtxRunner func(ctx context.Context, cell sram.CellConfig, pattern sram.Pattern, scale float64, seed uint64) (errors, slow, traps int, err error)
 
 // RareCtxRunner is the tilted counterpart of CtxRunner: the cell is
@@ -216,20 +213,8 @@ func SampleVtShifts(tech device.Technology, cfg sram.CellConfig, r *rng.Stream) 
 	}
 }
 
-// RunArray simulates cfg.Cells independent cells in parallel using the
-// supplied per-cell runner.
-func RunArray(cfg ArrayConfig, run Runner) (*ArrayResult, error) {
-	if run == nil {
-		return nil, fmt.Errorf("montecarlo: nil runner")
-	}
-	adapted := func(_ context.Context, cell sram.CellConfig, pattern sram.Pattern, scale float64, seed uint64) (int, int, int, error) {
-		return run(cell, pattern, scale, seed)
-	}
-	return RunArrayCtx(context.Background(), cfg, adapted, ArrayOptions{})
-}
-
-// RunArrayCtx is the context-aware, resumable variant of RunArray.
-// Cancelling ctx aborts the sweep (in-flight cells stop as soon as the
+// RunArrayCtx simulates cfg.Cells independent cells in parallel using
+// the supplied per-cell runner. Cancelling ctx aborts the sweep (in-flight cells stop as soon as the
 // runner observes the cancellation) and returns the wrapped ctx error;
 // closing opts.Drain stops dispatch but lets in-flight cells finish and
 // checkpoint, returning ErrDrained. Cells listed in opts.Resume are

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -72,7 +73,7 @@ func TestRunArrayAggregation(t *testing.T) {
 		Workers: 4,
 	}
 	// Fake runner: odd cells fail.
-	run := func(cell sram.CellConfig, p sram.Pattern, scale float64, seed uint64) (int, int, int, error) {
+	run := func(_ context.Context, cell sram.CellConfig, p sram.Pattern, scale float64, seed uint64) (int, int, int, error) {
 		if cell.VtShift == nil {
 			return 0, 0, 0, errors.New("no VtShift sampled")
 		}
@@ -81,7 +82,7 @@ func TestRunArrayAggregation(t *testing.T) {
 		}
 		return 0, 1, 10, nil
 	}
-	res, err := RunArray(cfg, run)
+	res, err := RunArrayCtx(context.Background(), cfg, run, ArrayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestRunArrayDeterministicAcrossWorkerCounts(t *testing.T) {
 		Seed:    11,
 		WithRTN: true,
 	}
-	run := func(cell sram.CellConfig, p sram.Pattern, scale float64, seed uint64) (int, int, int, error) {
+	run := func(_ context.Context, cell sram.CellConfig, p sram.Pattern, scale float64, seed uint64) (int, int, int, error) {
 		// Deterministic function of the sampled inputs.
 		if cell.VtShift["M5"] > 0 {
 			return 1, 0, int(seed % 7), nil
@@ -121,11 +122,11 @@ func TestRunArrayDeterministicAcrossWorkerCounts(t *testing.T) {
 	a.Workers = 1
 	b := base
 	b.Workers = 8
-	ra, err := RunArray(a, run)
+	ra, err := RunArrayCtx(context.Background(), a, run, ArrayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := RunArray(b, run)
+	rb, err := RunArrayCtx(context.Background(), b, run, ArrayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +146,9 @@ func TestRunArrayWorkersExceedCells(t *testing.T) {
 		Cells:   2, Seed: 3, WithRTN: true,
 		Workers: 16, // idle workers must park on the closed channel, not hang
 	}
-	res, err := RunArray(cfg, func(_ sram.CellConfig, _ sram.Pattern, _ float64, seed uint64) (int, int, int, error) {
+	res, err := RunArrayCtx(context.Background(), cfg, func(_ context.Context, _ sram.CellConfig, _ sram.Pattern, _ float64, seed uint64) (int, int, int, error) {
 		return 0, 0, int(seed % 5), nil
-	})
+	}, ArrayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +173,10 @@ func TestRunArrayDrainsQueueAfterFailure(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	var simulated atomic.Int64
-	_, err := RunArray(cfg, func(sram.CellConfig, sram.Pattern, float64, uint64) (int, int, int, error) {
+	_, err := RunArrayCtx(context.Background(), cfg, func(context.Context, sram.CellConfig, sram.Pattern, float64, uint64) (int, int, int, error) {
 		simulated.Add(1)
 		return 0, 0, 0, boom
-	})
+	}, ArrayOptions{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("error not propagated: %v", err)
 	}
@@ -200,7 +201,7 @@ func TestRunArrayDeterministicAcrossWorkerSweep(t *testing.T) {
 		Cells:   24, Seed: 17, WithRTN: true,
 	}
 	// Deterministic function of the per-cell inputs only.
-	run := func(cell sram.CellConfig, _ sram.Pattern, scale float64, seed uint64) (int, int, int, error) {
+	run := func(_ context.Context, cell sram.CellConfig, _ sram.Pattern, scale float64, seed uint64) (int, int, int, error) {
 		errs := 0
 		if cell.VtShift["M2"] > 0 && seed%3 == 0 {
 			errs = 2
@@ -211,7 +212,7 @@ func TestRunArrayDeterministicAcrossWorkerSweep(t *testing.T) {
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		cfg := base
 		cfg.Workers = workers
-		res, err := RunArray(cfg, run)
+		res, err := RunArrayCtx(context.Background(), cfg, run, ArrayOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,19 +237,19 @@ func TestRunArrayErrorsPropagate(t *testing.T) {
 		Cells:   3, Seed: 1, WithRTN: true,
 	}
 	boom := errors.New("boom")
-	_, err := RunArray(cfg, func(sram.CellConfig, sram.Pattern, float64, uint64) (int, int, int, error) {
+	_, err := RunArrayCtx(context.Background(), cfg, func(context.Context, sram.CellConfig, sram.Pattern, float64, uint64) (int, int, int, error) {
 		return 0, 0, 0, boom
-	})
+	}, ArrayOptions{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("error not propagated: %v", err)
 	}
 }
 
 func TestRunArrayValidation(t *testing.T) {
-	if _, err := RunArray(ArrayConfig{Cells: 0}, nil); err == nil {
+	if _, err := RunArrayCtx(context.Background(), ArrayConfig{Cells: 0}, nil, ArrayOptions{}); err == nil {
 		t.Fatal("zero cells accepted")
 	}
-	if _, err := RunArray(ArrayConfig{Cells: 5}, nil); err == nil {
+	if _, err := RunArrayCtx(context.Background(), ArrayConfig{Cells: 5}, nil, ArrayOptions{}); err == nil {
 		t.Fatal("nil runner accepted")
 	}
 }
@@ -263,12 +264,12 @@ func TestScaleZeroWhenRTNDisabled(t *testing.T) {
 	// The two cells run on concurrent workers, so the write is locked.
 	var mu sync.Mutex
 	sawScale := -1.0
-	_, err := RunArray(cfg, func(_ sram.CellConfig, _ sram.Pattern, scale float64, _ uint64) (int, int, int, error) {
+	_, err := RunArrayCtx(context.Background(), cfg, func(_ context.Context, _ sram.CellConfig, _ sram.Pattern, scale float64, _ uint64) (int, int, int, error) {
 		mu.Lock()
 		sawScale = scale
 		mu.Unlock()
 		return 0, 0, 0, nil
-	})
+	}, ArrayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,10 @@ import (
 )
 
 // RunInfo is the provenance manifest attached to every externally
-// visible result (samuraid job results, samuraivv reports, BENCH_N
-// trajectory files): enough to re-derive the run bit-exactly. The
-// build half identifies the code and the machine; Seed and SpecHash
-// identify the work.
+// visible result (samuraid job results, samuraivv reports, the
+// bench_trajectory.json file): enough to re-derive the run
+// bit-exactly. The build half identifies the code and the machine;
+// Seed and SpecHash identify the work.
 //
 // RunInfo is deliberately machine-dependent (CPU count, VCS revision)
 // and therefore must never flow into a seeded result or the jobd WAL —

@@ -137,11 +137,6 @@ type Options struct {
 	E2E bool
 	// E2ERuns is the number of end-to-end methodology runs (default 32).
 	E2ERuns int
-	// Rare appends the rare-event unbiasedness rows (RareMatrix) to
-	// the report. The rows draw through the tilted kernel (see
-	// RareSimulator), not Sim: the rare battery gates the
-	// importance-sampling layer.
-	Rare bool
 }
 
 func (o Options) defaults() Options {
@@ -181,9 +176,6 @@ func RunMatrix(opts Options) (*Report, error) {
 	if opts.E2E {
 		total += e2eGateCount
 	}
-	if opts.Rare {
-		total += rareGateCount()
-	}
 	budget := Budget{Alpha: opts.Alpha, Gates: total}
 	root := rng.New(opts.Seed)
 	rep := &Report{
@@ -203,19 +195,6 @@ func RunMatrix(opts Options) (*Report, error) {
 			rep.Pass = false
 		}
 		rep.Scenarios = append(rep.Scenarios, sr)
-	}
-	if opts.Rare {
-		for i, sc := range RareMatrix() {
-			sr, err := RunRareScenario(sc, DefaultRareSimulator, root.Split(uint64(500+i)), budget)
-			if err != nil {
-				return nil, err
-			}
-			mVVScenarios.Inc()
-			if !sr.Pass {
-				rep.Pass = false
-			}
-			rep.Scenarios = append(rep.Scenarios, sr)
-		}
 	}
 	if opts.E2E {
 		sr, err := runE2E(opts, root.Split(999), budget)

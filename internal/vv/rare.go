@@ -291,11 +291,10 @@ func pathsBitEqual(a, b *markov.Path) bool {
 	return true
 }
 
-// RunRareMatrix runs only the rare-event rows as a standalone report
-// (the budget is Bonferroni-divided over the rare gates alone). Row i
-// draws from root.Split(500+i) — the same derivation the combined
-// RunMatrix uses — so a row's ensemble is identical whether it ran
-// standalone or alongside the naive battery.
+// RunRareMatrix runs the rare-event rows as a report of their own (the
+// budget is Bonferroni-divided over the rare gates alone). Row i draws
+// from root.Split(500+i), a family of streams disjoint from RunMatrix's
+// (100+i for the naive rows, 999 for the end-to-end suite).
 func RunRareMatrix(opts Options) (*Report, error) {
 	opts = opts.defaults()
 	rows := RareMatrix()

@@ -1,7 +1,6 @@
 package vv
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 
@@ -198,42 +197,5 @@ func TestBrokenWeightSanity(t *testing.T) {
 	}
 	if !sr.Pass {
 		t.Fatalf("honest wrapper failed the battery: %+v", sr.Gates)
-	}
-}
-
-// TestRareStandaloneMatchesCombined: a row's ensemble derives from
-// root.Split(500+i) in both the standalone rare matrix and the
-// combined RunMatrix, so the reported aggregates (which don't depend
-// on the budget) are bit-identical across the two entry points.
-func TestRareStandaloneMatchesCombined(t *testing.T) {
-	alone, err := RunRareMatrix(Options{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined, err := RunMatrix(Options{Seed: 4, Rare: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := map[string]string{}
-	for _, sc := range combined.Scenarios {
-		if sc.Rare != nil {
-			b, err := json.Marshal(sc.Rare)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats[sc.Name] = string(b)
-		}
-	}
-	if len(stats) != len(alone.Scenarios) {
-		t.Fatalf("combined run has %d rare rows, standalone %d", len(stats), len(alone.Scenarios))
-	}
-	for _, sc := range alone.Scenarios {
-		b, err := json.Marshal(sc.Rare)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats[sc.Name] != string(b) {
-			t.Fatalf("row %s aggregates differ between entry points:\n%s\n%s", sc.Name, stats[sc.Name], b)
-		}
 	}
 }

@@ -89,13 +89,13 @@ func TestObsDeterminismRunArray(t *testing.T) {
 		Workers: 2,
 	}
 
-	quiet, err := montecarlo.RunArray(cfg, samurai.ArrayRunner())
+	quiet, err := montecarlo.RunArrayCtx(context.Background(), cfg, samurai.ArrayRunnerCtx(), montecarlo.ArrayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var live *montecarlo.ArrayResult
 	withLiveSink(func() {
-		live, err = montecarlo.RunArray(cfg, samurai.ArrayRunner())
+		live, err = montecarlo.RunArrayCtx(context.Background(), cfg, samurai.ArrayRunnerCtx(), montecarlo.ArrayOptions{})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,9 +4,9 @@ package samurai_test
 // importance-sampling battery must both pass its unbiasedness gates
 // and, on its deepest row, displace at least 100x the paths a naive
 // Monte-Carlo estimator would spend to reach the same 95% CI
-// half-width. The speedup lands in BENCH_10.json as paths-speedup-x,
-// so the trajectory records the variance reduction next to the wall
-// clock it costs.
+// half-width. The speedup lands in bench_trajectory.json as
+// paths-speedup-x, so the trajectory records the variance reduction
+// next to the wall clock it costs.
 
 import (
 	"fmt"

@@ -132,11 +132,11 @@ func TestGenerateTraceValidation(t *testing.T) {
 }
 
 func TestArrayRunnerScaleZeroSkipsRTN(t *testing.T) {
-	run := ArrayRunner()
+	run := ArrayRunnerCtx()
 	tech := device.Node("90nm")
 	cell := sram.CellConfig{Tech: tech}.Defaults()
 	pattern := sram.Fig8Pattern(tech.Vdd)
-	errs, _, traps, err := run(cell, pattern, 0, 7)
+	errs, _, traps, err := run(context.Background(), cell, pattern, 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestArrayRunnerScaleZeroSkipsRTN(t *testing.T) {
 		t.Fatalf("clean-only run failed %d writes", errs)
 	}
 	// With RTN the trap count must be reported.
-	_, _, traps, err = run(cell, pattern, 1, 7)
+	_, _, traps, err = run(context.Background(), cell, pattern, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

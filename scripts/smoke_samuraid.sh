@@ -19,11 +19,13 @@
 #   2. start samuraid -coordinator (no in-process executors) with a
 #      short (1s) lease TTL,
 #   3. submit a 32-cell array job and subscribe to its event stream,
+#      then submit a run job (one methodology run: a one-cell lease),
 #   4. start two workers: one rigged to hard-exit (no drain, no
 #      release) after 2 checkpoints, one healthy with -once,
 #   5. assert the chaos worker dies with its rigged exit code, the
 #      coordinator steals its abandoned lease, and the healthy worker
-#      sweeps the job to done anyway,
+#      sweeps the array job to done anyway and runs the run job, whose
+#      result carries its trap count,
 #   6. assert the remote cells went through the single-node job
 #      instrumentation: GET /jobs/{id}/events streamed jobd.cell events
 #      and the done state, and samurai_jobd_cells_checkpointed_total > 0,
@@ -85,7 +87,7 @@ wait_ready() {
     return 1
 }
 
-# submit_job ADDR BODY — POSTs an array job and prints its id.
+# submit_job ADDR BODY — POSTs a job and prints its id.
 submit_job() {
     local addr="$1" body="$2" resp id
     resp="$(curl -sS --max-time 10 -X POST "http://$addr/jobs" \
@@ -223,6 +225,10 @@ fabric_phase() {
     local events_pid=$!
     PIDS+=("$events_pid")
 
+    echo "== [fabric] submitting a run job (leased to the workers as one cell)"
+    local run_id
+    run_id="$(submit_job "$addr" '{"type":"run","seed":7}')"
+
     # The chaos worker is rigged to hard-exit (no drain, no lease
     # release) after 2 acknowledged checkpoints — the fabric must
     # recover its abandoned lease by stealing after the TTL.
@@ -246,6 +252,14 @@ fabric_phase() {
 
     echo "== [fabric] polling $job_id to completion (steal + resweep)"
     poll_done "$addr" "$job_id" 600
+
+    echo "== [fabric] polling run job $run_id to completion"
+    poll_done "$addr" "$run_id" 600
+    local run_result
+    run_result="$(curl -sS --max-time 10 "http://$addr/jobs/$run_id/result")"
+    echo "   $run_result"
+    printf '%s' "$run_result" | grep -q '"traps":[1-9]' || { echo "run job result carries no traps" >&2; exit 1; }
+    echo "   the workers ran the run job"
 
     local steady_rc=0
     wait "$steady_pid" || steady_rc=$?
