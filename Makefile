@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint lint-bench suppressions check bench bench-smoke bench-json bench-golden smoke-service smoke-fabric vv vv-rare cover fuzz-smoke
+.PHONY: build test vet fmt race lint lint-bench suppressions check bench bench-smoke bench-json bench-golden smoke-service smoke-fabric vv vv-rare cover fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when gofmt would reformat any file, printing their names.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt would reformat:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race -short ./...
@@ -35,7 +39,7 @@ lint-bench:
 	if [ $$dur -gt 60 ]; then echo "lint-bench: sweep exceeded 60s" >&2; exit 1; fi
 
 # check is the full local gate — identical to what CI runs on every PR.
-check: build test vet race lint suppressions bench-smoke bench-golden vv vv-rare cover
+check: build test vet fmt race lint suppressions bench-smoke bench-golden vv vv-rare cover
 
 # vv runs the statistical conformance matrix (DESIGN.md §10): occupancy,
 # dwell and transition statistics sampled through the production trap
@@ -70,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCursorEquivalence$$' -fuzztime=10s ./internal/waveform
 	$(GO) test -run='^$$' -fuzz='^FuzzParseDeck$$' -fuzztime=10s ./internal/circuit
 	$(GO) test -run='^$$' -fuzz='^FuzzSparseVsDenseLU$$' -fuzztime=10s ./internal/num
+	$(GO) test -run='^$$' -fuzz='^FuzzPatternVsDenseLU$$' -fuzztime=10s ./internal/num
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

@@ -1,6 +1,6 @@
 #!/bin/sh
 # check.sh mirrors the CI gate for environments without make:
-# build, tests, go vet, race detector (short mode), samurailint, a
+# build, tests, go vet, gofmt, race detector (short mode), samurailint, a
 # one-iteration benchmark smoke run (output kept in bench.txt), the
 # statistical conformance matrix (vv_report.json) and a coverage
 # summary (coverage.out), plus the samuraibench tests and a short
@@ -11,6 +11,13 @@ cd "$(dirname "$0")"
 go build ./...
 go test ./...
 go vet ./...
+# gofmt prints the files it would reformat; any name fails the gate.
+fmt_out=$(gofmt -l .)
+if [ -n "$fmt_out" ]; then
+	echo "gofmt would reformat:"
+	echo "$fmt_out"
+	exit 1
+fi
 go test -race -short ./...
 go run ./cmd/samurailint ./...
 # Suppression inventory review: every //lint:ignore / //lint:nondet-ok

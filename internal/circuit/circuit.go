@@ -6,7 +6,12 @@
 // It is the substrate standing in for SpiceOPUS/BSIM-4 in the SAMURAI
 // methodology (see DESIGN.md): the circuits involved — 6T SRAM cells
 // with drivers — have ~15 nodes, so a dense LU factorisation per Newton
-// iteration is exact and fast.
+// iteration is exact. Each solve context freezes the MNA pattern on its
+// first stamp pass and replays the dense elimination over it
+// (num.PatternLU), bit-identical to the dense code; MOSFETs are
+// evaluated from compiled parameters behind a one-slot memo per device.
+// A transient records node voltages and source currents only;
+// TransientResult.DeviceBias derives a device's bias on demand.
 //
 // Supported elements: resistors, capacitors, independent voltage and
 // current sources (constant or PWL), and 3-terminal level-1 MOSFETs
@@ -175,7 +180,7 @@ func (c *Circuit) AddMOSFET(name, d, g, s string, p device.MOSParams) error {
 	if err := c.register(name); err != nil {
 		return err
 	}
-	e := &mosfetElem{id: name, d: c.node(d), g: c.node(g), s: c.node(s), p: p}
+	e := &mosfetElem{id: name, d: c.node(d), g: c.node(g), s: c.node(s), p: p, dev: p.Compile(), k: len(c.mosfets)}
 	c.elems = append(c.elems, e)
 	c.mosfets = append(c.mosfets, e)
 	return nil

@@ -1,6 +1,8 @@
 package circuit
 
 import (
+	"math"
+
 	"samurai/internal/device"
 	"samurai/internal/num"
 	"samurai/internal/waveform"
@@ -30,22 +32,34 @@ func (m Method) String() string {
 // Newton iteration of one (DC or transient) solve. It owns either a
 // dense or a sparse linear-algebra backend; elements stamp through
 // addA/addB and never see which one is active.
+//
+// Both backends freeze the MNA pattern on the first stamping pass. The
+// pattern is identical for every iteration and timestep — element order
+// is fixed and each element's A-coordinates depend only on circuit
+// topology (the DC and transient capacitor stamps hit the same
+// positions; only the dense RHS differs) — so one recording serves the
+// whole life of the context, and a stamp that leaves it (a topology
+// bug) fails loudly.
 type stampCtx struct {
-	// Dense backend (nil when sparse is active).
-	a  *num.Matrix // MNA matrix, Size×Size
-	lu *num.LU
+	// Dense backend (nil when sparse is active). While recording, addA
+	// marks each entry it touches in onPat; finishDenseRecording turns
+	// the marks into pat, the ascending row-major offsets of the
+	// structural entries (row i's are pat[patRow[i]:patRow[i+1]]), and
+	// builds the frozen-pattern LU over them. Afterwards addA panics
+	// on an unmarked entry, so every entry outside pat stays +0.
+	a      *num.Matrix // MNA matrix, Size×Size
+	plu    *num.PatternLU
+	onPat  []bool
+	pat    []int32
+	patRow []int32
 	// Sparse backend (nil when dense is active). The first stamping
 	// pass records the coordinate sequence; finishRecording freezes it
 	// into a CSR pattern plus a scatter list, after which addA is a
-	// single indexed accumulate. The sequence is identical for every
-	// iteration and timestep — element order is fixed and each
-	// element's A-coordinates depend only on circuit topology (the DC
-	// and transient capacitor stamps hit the same positions; only the
-	// dense RHS differs) — so one recording serves the whole run.
+	// single indexed accumulate.
 	sp        *num.Sparse
 	slu       *num.SparseLU
-	recording bool
-	coords    [][2]int32 // recorded (i,j) op sequence (recording only)
+	recording bool       // first stamping pass, either backend
+	coords    [][2]int32 // recorded (i,j) op sequence (sparse recording only)
 	vals      []float64  // values stamped while recording
 	scatter   []int32    // op index -> sp.Val position
 	cursor    int
@@ -57,10 +71,13 @@ type stampCtx struct {
 	dt     float64   // step size; 0 means DC
 	method Method
 	gmin   float64 // conductance to ground on every node
-	// Persistent per-solve scratch: the factorisation workspace, the
-	// candidate iterate and the residual column are owned by the
-	// context so Newton iterations never allocate (see DESIGN.md,
-	// hot-path memory discipline).
+	// mos holds one evaluation memo per MOSFET (indexed by
+	// mosfetElem.k): during holds a cell's terminal voltages repeat
+	// bit for bit between iterations and steps.
+	mos []mosMemo
+	// Persistent per-solve scratch: the candidate iterate and the
+	// residual column are owned by the context so Newton iterations
+	// never allocate (see DESIGN.md, hot-path memory discipline).
 	xNew  []float64
 	resid []float64
 }
@@ -71,20 +88,21 @@ type stampCtx struct {
 func newStampCtx(c *Circuit, opt Options) *stampCtx {
 	n := c.Size()
 	st := &stampCtx{
-		b:      make([]float64, n),
-		x:      make([]float64, n),
-		nNodes: len(c.nodeNames),
-		method: opt.Method,
-		gmin:   opt.Gmin,
-		xNew:   make([]float64, n),
-		resid:  make([]float64, n),
+		b:         make([]float64, n),
+		x:         make([]float64, n),
+		nNodes:    len(c.nodeNames),
+		method:    opt.Method,
+		gmin:      opt.Gmin,
+		mos:       make([]mosMemo, len(c.mosfets)),
+		xNew:      make([]float64, n),
+		resid:     make([]float64, n),
+		recording: true,
 	}
 	if opt.useSparse(n) {
 		st.slu = num.NewSparseLU()
-		st.recording = true
 	} else {
 		st.a = num.NewMatrix(n, n)
-		st.lu = num.NewLU(n)
+		st.onPat = make([]bool, n*n)
 	}
 	return st
 }
@@ -92,7 +110,11 @@ func newStampCtx(c *Circuit, opt Options) *stampCtx {
 // addA accumulates v into MNA matrix position (i, j).
 func (st *stampCtx) addA(i, j int, v float64) {
 	if st.a != nil {
-		st.a.Add(i, j, v)
+		off := i*st.a.Cols + j
+		if !st.onPat[off] {
+			st.markPattern(off)
+		}
+		st.a.Data[off] += v
 		return
 	}
 	if st.recording {
@@ -104,18 +126,34 @@ func (st *stampCtx) addA(i, j int, v float64) {
 	st.cursor++
 }
 
+// markPattern adds a dense entry to the pattern being recorded; after
+// the first pass it is a stamp outside the frozen pattern.
+func (st *stampCtx) markPattern(off int) {
+	if !st.recording {
+		panic("circuit: dense stamp outside the recorded pattern")
+	}
+	st.onPat[off] = true
+}
+
 // addB accumulates v into RHS position i.
 func (st *stampCtx) addB(i int, v float64) {
 	st.b[i] += v
 }
 
-// beginStamp resets the assembly state for one Newton iteration.
+// beginStamp resets the assembly state for one Newton iteration. Once
+// the dense pattern is frozen only its entries can be nonzero, so only
+// they are cleared.
 //
 //lint:hot
 func (st *stampCtx) beginStamp() {
-	if st.a != nil {
+	switch {
+	case st.pat != nil:
+		for _, off := range st.pat {
+			st.a.Data[off] = 0
+		}
+	case st.a != nil:
 		st.a.Zero()
-	} else if st.sp != nil {
+	case st.sp != nil:
 		st.sp.Zero()
 	}
 	st.cursor = 0
@@ -124,14 +162,17 @@ func (st *stampCtx) beginStamp() {
 	}
 }
 
-// factor factorises the assembled matrix. On the sparse path the first
-// call freezes the recorded stamp sequence into the CSR pattern and
-// the scatter list; later calls verify the sequence length so a
-// diverging stamp order (a topology bug) fails loudly instead of
-// silently scattering into the wrong entries.
+// factor factorises the assembled matrix. The first call on either
+// backend freezes the recorded pattern. On the sparse path later calls
+// verify the stamp sequence length so a diverging stamp order fails
+// loudly instead of silently scattering into the wrong entries; on the
+// dense path addA already refuses an entry outside the pattern.
 func (st *stampCtx) factor() error {
 	if st.a != nil {
-		return st.lu.FactorInto(st.a)
+		if st.recording {
+			st.finishDenseRecording()
+		}
+		return st.plu.FactorInto(st.a)
 	}
 	if st.recording {
 		st.finishRecording()
@@ -139,6 +180,31 @@ func (st *stampCtx) factor() error {
 		panic("circuit: sparse stamp sequence diverged from recorded pattern")
 	}
 	return st.slu.FactorInto(st.sp)
+}
+
+// finishDenseRecording freezes the marked entries into the pattern
+// lists and builds the frozen-pattern LU over them.
+func (st *stampCtx) finishDenseRecording() {
+	n := st.a.Rows
+	nnz := 0
+	for _, on := range st.onPat {
+		if on {
+			nnz++
+		}
+	}
+	buf := make([]int32, nnz+n+1)
+	st.pat, st.patRow = buf[:0:nnz], buf[nnz:]
+	for i := 0; i < n; i++ {
+		st.patRow[i] = int32(len(st.pat))
+		for j := 0; j < n; j++ {
+			if st.onPat[i*n+j] {
+				st.pat = append(st.pat, int32(i*n+j))
+			}
+		}
+	}
+	st.patRow[n] = int32(len(st.pat))
+	st.plu = num.NewPatternLU(n, st.pat)
+	st.recording = false
 }
 
 // finishRecording builds the frozen CSR pattern from the recorded
@@ -167,7 +233,7 @@ func (st *stampCtx) finishRecording() {
 //lint:hot
 func (st *stampCtx) solveInPlace(x []float64) {
 	if st.a != nil {
-		st.lu.SolveInPlace(x)
+		st.plu.SolveInPlace(x)
 		return
 	}
 	st.slu.SolveInPlace(x)
@@ -183,22 +249,81 @@ func (st *stampCtx) solveInPlace(x []float64) {
 // ill-conditioned factorisation has residual ~‖A‖·‖x‖ itself and is
 // rejected.
 //
+// On the dense backend the product and ‖A‖ run over the frozen pattern
+// only. For finite x every skipped term is (+0)·x = ±0 added to a row
+// sum that starts at +0 and so is never −0, and an entry of +0 cannot
+// raise the max, so the verdict is the full product's bit for bit; a
+// non-finite x takes the full product, where 0·Inf = NaN matters.
+//
 //lint:hot
 func (st *stampCtx) residualOK(tol float64) bool {
 	var maxA float64
-	if st.a != nil {
+	switch {
+	case st.a != nil && finite(st.xNew):
+		return st.patternResidual() <= tol*residualScale(st.patternMaxAbs(), st.xNew)
+	case st.a != nil:
 		st.a.MulVecInto(st.resid, st.xNew)
 		maxA = st.a.MaxAbs()
-	} else {
+	default:
 		st.sp.MulVecInto(st.resid, st.xNew)
 		maxA = st.sp.MaxAbs()
 	}
 	num.SubInto(st.resid, st.resid, st.b)
-	scale := maxA * num.VecNormInf(st.xNew)
+	return num.VecNormInf(st.resid) <= tol*residualScale(maxA, st.xNew)
+}
+
+// residualScale is max(1, maxA·‖x‖∞), residualOK's bound scale.
+func residualScale(maxA float64, x []float64) float64 {
+	scale := maxA * num.VecNormInf(x)
 	if scale < 1 {
 		scale = 1
 	}
-	return num.VecNormInf(st.resid) <= tol*scale
+	return scale
+}
+
+// patternResidual returns ‖A·xNew − b‖∞ with the product summed over
+// the frozen dense pattern, row by row in ascending column order.
+//
+//lint:hot
+func (st *stampCtx) patternResidual() float64 {
+	a, x := st.a.Data, st.xNew
+	n := len(x)
+	var norm float64
+	for i, bi := range st.b {
+		s := 0.0
+		base := int32(i * n)
+		for _, off := range st.pat[st.patRow[i]:st.patRow[i+1]] {
+			s += a[off] * x[off-base]
+		}
+		if r := math.Abs(s - bi); r > norm {
+			norm = r
+		}
+	}
+	return norm
+}
+
+// patternMaxAbs returns the largest |entry| of A over the frozen dense
+// pattern: the full matrix's MaxAbs, since every other entry is +0.
+//
+//lint:hot
+func (st *stampCtx) patternMaxAbs() float64 {
+	var mx float64
+	for _, off := range st.pat {
+		if v := math.Abs(st.a.Data[off]); v > mx {
+			mx = v
+		}
+	}
+	return mx
+}
+
+// finite reports whether every entry of x is finite.
+func finite(x []float64) bool {
+	for _, v := range x {
+		if math.IsNaN(v - v) {
+			return false
+		}
+	}
+	return true
 }
 
 // element is the internal per-device interface. stamp adds the
@@ -356,6 +481,8 @@ type mosfetElem struct {
 	id      string
 	d, g, s int
 	p       device.MOSParams
+	dev     device.CompiledMOS // p compiled once at AddMOSFET
+	k       int                // index in Circuit.mosfets and stampCtx.mos
 }
 
 func (e *mosfetElem) name() string { return e.id }
@@ -364,7 +491,7 @@ func (e *mosfetElem) stamp(st *stampCtx) {
 	vd := voltage(st.x, e.d)
 	vg := voltage(st.x, e.g)
 	vs := voltage(st.x, e.s)
-	op := e.p.Eval(vg-vs, vd-vs)
+	op := st.mos[e.k].eval(&e.dev, vg-vs, vd-vs)
 	// Linearised channel current entering the drain:
 	// i_d ≈ Ids + gm·(Δvgs) + gds·(Δvds)
 	// Stamp the Jacobian and the history current
@@ -399,5 +526,29 @@ func (e *mosfetElem) opAt(x []float64) device.OpPoint {
 	vd := voltage(x, e.d)
 	vg := voltage(x, e.g)
 	vs := voltage(x, e.s)
-	return e.p.Eval(vg-vs, vd-vs)
+	return e.dev.Eval(vg-vs, vd-vs)
+}
+
+// mosMemo is a one-slot evaluation memo for one MOSFET: the bit
+// patterns of the last (vgs, vds) it evaluated and their operating
+// point. It serves one property — a device's terminal voltages
+// repeating bit for bit between consecutive evaluations, as they do
+// while a cell holds — and costs one compare otherwise. The key is the
+// bit pattern, not ==: Eval(vgs, −0) returns Ids = −0 where
+// Eval(vgs, +0) returns +0.
+type mosMemo struct {
+	vgs, vds uint64
+	ok       bool
+	op       device.OpPoint
+}
+
+// eval returns d.Eval(vgs, vds), reusing the last result when both
+// arguments repeat bit for bit.
+func (m *mosMemo) eval(d *device.CompiledMOS, vgs, vds float64) *device.OpPoint {
+	bg, bd := math.Float64bits(vgs), math.Float64bits(vds)
+	if !m.ok || bg != m.vgs || bd != m.vds {
+		m.op = d.Eval(vgs, vds)
+		m.vgs, m.vds, m.ok = bg, bd, true
+	}
+	return &m.op
 }

@@ -203,22 +203,23 @@ func (c *Circuit) OperatingPoint(guess map[string]float64, opt Options) (map[str
 	return out, nil
 }
 
-// TransientResult holds the sampled solution of a transient run.
+// TransientResult holds the sampled solution of a transient run: the
+// node voltages and source currents at every accepted step. MOSFET
+// biases are not recorded; DeviceBias derives them from the node
+// voltages on demand.
 type TransientResult struct {
 	Times []float64
 	// V maps node name → voltage samples aligned with Times.
 	V map[string][]float64
-	// DeviceID maps MOSFET name → channel-current samples (drain
-	// convention); DeviceVgs/DeviceVds hold the terminal biases — the
-	// waveforms SAMURAI consumes.
-	DeviceID  map[string][]float64
-	DeviceVgs map[string][]float64
-	DeviceVds map[string][]float64
 	// SourceI maps voltage-source name → branch-current samples (the
 	// MNA branch unknowns, flowing from the + terminal through the
 	// source to the − terminal). Supply-current integrals give write
 	// energy and similar power metrics.
 	SourceI map[string][]float64
+	// nodes holds the V columns by node index and mosfets the
+	// circuit's devices, both for DeviceBias.
+	nodes   [][]float64
+	mosfets []*mosfetElem
 }
 
 // Voltage returns the PWL waveform of a node.
@@ -241,19 +242,52 @@ func (r *TransientResult) SourceCurrent(name string) (*waveform.PWL, error) {
 }
 
 // DeviceBias returns the (Vgs, Id) waveforms of a MOSFET — the inputs
-// SAMURAI's trace generator needs for that device.
+// SAMURAI's trace generator needs for that device. It evaluates the
+// device at every recorded sample from the node voltages, exactly as
+// the solver would at that solution (Eval is pure in the voltages, so
+// the samples are the ones a per-step recording would have held). Each
+// call allocates its two columns and touches no shared mutable state,
+// so concurrent calls on one result are safe.
 func (r *TransientResult) DeviceBias(name string) (vgs, id *waveform.PWL, err error) {
-	gv, ok := r.DeviceVgs[name]
-	if !ok {
+	var m *mosfetElem
+	for _, e := range r.mosfets {
+		if e.id == name {
+			m = e
+			break
+		}
+	}
+	if m == nil {
 		return nil, nil, fmt.Errorf("circuit: device %q not recorded", name)
 	}
-	iv := r.DeviceID[name]
+	col := func(idx int) []float64 {
+		if idx < 0 {
+			return nil
+		}
+		return r.nodes[idx]
+	}
+	cd, cg, cs := col(m.d), col(m.g), col(m.s)
+	gv := make([]float64, len(r.Times))
+	iv := make([]float64, len(r.Times))
+	var memo mosMemo
+	for k := range gv {
+		vd, vg, vs := sample(cd, k), sample(cg, k), sample(cs, k)
+		gv[k] = vg - vs
+		iv[k] = memo.eval(&m.dev, vg-vs, vd-vs).Ids
+	}
 	vgs, err = waveform.New(r.Times, gv)
 	if err != nil {
 		return nil, nil, err
 	}
 	id, err = waveform.New(r.Times, iv)
 	return vgs, id, err
+}
+
+// sample reads sample k of a node column; a nil column is ground, 0 V.
+func sample(col []float64, k int) float64 {
+	if col == nil {
+		return 0
+	}
+	return col[k]
 }
 
 // TransientSpec describes a transient analysis.
@@ -287,24 +321,34 @@ type Runner struct {
 	// suffices.
 	saved []float64
 	// Recording columns, resolved once at NewRunner and preallocated to
-	// the expected sample count. record() only index-assigns into them;
-	// the name-keyed TransientResult maps are refreshed by Result().
+	// the expected sample count (at most maxPrealloc). record() only
+	// index-assigns into them; the name-keyed TransientResult maps are
+	// refreshed by Result().
 	n         int       // samples recorded so far
 	times     []float64 // sample instants
 	nodeCols  [][]float64
-	idCols    [][]float64 // per c.mosfets entry
-	vgsCols   [][]float64
-	vdsCols   [][]float64
 	srcNames  []string // voltage sources in recording order
 	srcBranch []int
 	srcCols   [][]float64
 }
+
+// maxPrealloc bounds the samples NewRunner preallocates per recording
+// column. Longer runs grow through growRecording, so a huge step count
+// costs memory only as its samples arrive. It sits far above every
+// transient the methodology and its benchmarks run (a 6T write pattern
+// is a few thousand steps).
+const maxPrealloc = 1 << 20
 
 // NewRunner initialises a transient analysis (performing the DC
 // operating point unless spec.UIC is set) and records the initial
 // state.
 func (c *Circuit) NewRunner(spec TransientSpec) (*Runner, error) {
 	opt := spec.Options.Defaults()
+	for _, v := range [...]float64{spec.T0, spec.T1, spec.Dt} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("circuit: transient needs finite T0, T1 and Dt (got %g, %g, %g)", spec.T0, spec.T1, spec.Dt)
+		}
+	}
 	if spec.Dt <= 0 || spec.T1 <= spec.T0 {
 		return nil, errors.New("circuit: transient needs T1 > T0 and Dt > 0")
 	}
@@ -341,21 +385,21 @@ func (c *Circuit) NewRunner(spec TransientSpec) (*Runner, error) {
 		c: c, st: st, opt: opt, t: spec.T0, t1: spec.T1,
 		saved: make([]float64, c.Size()),
 		res: &TransientResult{
-			V:         map[string][]float64{},
-			DeviceID:  map[string][]float64{},
-			DeviceVgs: map[string][]float64{},
-			DeviceVds: map[string][]float64{},
-			SourceI:   map[string][]float64{},
+			V:       map[string][]float64{},
+			SourceI: map[string][]float64{},
+			nodes:   make([][]float64, len(c.nodeNames)),
+			mosfets: c.mosfets,
 		},
 	}
 	// One sample per step plus the initial state; growRecording covers
-	// the rare extra step introduced by floating-point drift of t.
-	capHint := int(math.Ceil((spec.T1-spec.T0)/spec.Dt)) + 1
+	// the rare extra step introduced by floating-point drift of t, and
+	// any run longer than maxPrealloc samples.
+	capHint := maxPrealloc
+	if steps := math.Ceil((spec.T1 - spec.T0) / spec.Dt); steps < maxPrealloc {
+		capHint = int(steps) + 1
+	}
 	r.times = make([]float64, capHint)
 	r.nodeCols = makeCols(len(c.nodeNames), capHint)
-	r.idCols = makeCols(len(c.mosfets), capHint)
-	r.vgsCols = makeCols(len(c.mosfets), capHint)
-	r.vdsCols = makeCols(len(c.mosfets), capHint)
 	r.srcNames = make([]string, 0, len(c.vsources))
 	for name := range c.vsources {
 		r.srcNames = append(r.srcNames, name)
@@ -486,12 +530,6 @@ func (r *Runner) record() {
 	for i, col := range r.nodeCols {
 		col[k] = x[i]
 	}
-	for i, m := range r.c.mosfets {
-		op := m.opAt(x)
-		r.idCols[i][k] = op.Ids
-		r.vgsCols[i][k] = voltage(x, m.g) - voltage(x, m.s)
-		r.vdsCols[i][k] = voltage(x, m.d) - voltage(x, m.s)
-	}
 	for i, br := range r.srcBranch {
 		r.srcCols[i][k] = x[r.st.nNodes+br]
 	}
@@ -508,7 +546,7 @@ func (r *Runner) growRecording() {
 		return out
 	}
 	r.times = grow(r.times)
-	for _, cols := range [][][]float64{r.nodeCols, r.idCols, r.vgsCols, r.vdsCols, r.srcCols} {
+	for _, cols := range [][][]float64{r.nodeCols, r.srcCols} {
 		for i := range cols {
 			cols[i] = grow(cols[i])
 		}
@@ -524,12 +562,8 @@ func (r *Runner) Result() *TransientResult {
 	n := r.n
 	res.Times = r.times[:n]
 	for i, name := range r.c.nodeNames {
-		res.V[name] = r.nodeCols[i][:n]
-	}
-	for i, m := range r.c.mosfets {
-		res.DeviceID[m.id] = r.idCols[i][:n]
-		res.DeviceVgs[m.id] = r.vgsCols[i][:n]
-		res.DeviceVds[m.id] = r.vdsCols[i][:n]
+		col := r.nodeCols[i][:n]
+		res.V[name], res.nodes[i] = col, col
 	}
 	for i, name := range r.srcNames {
 		res.SourceI[name] = r.srcCols[i][:n]
@@ -538,7 +572,7 @@ func (r *Runner) Result() *TransientResult {
 }
 
 // Transient runs a fixed-step implicit transient analysis and records
-// every node voltage and every MOSFET bias/current at each step. When
+// every node voltage and voltage-source current at each step. When
 // spec.Options.Ctx carries a trace position, the whole analysis is
 // wrapped in a circuit.transient span (timing only — the solution is
 // bit-identical with or without tracing).

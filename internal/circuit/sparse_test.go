@@ -58,7 +58,7 @@ func nonlinearChain(t *testing.T, stages int) *Circuit {
 	nm := device.NewMOS(tech, device.NMOS, 4*tech.Lmin, tech.Lmin)
 	for i := 0; i < stages; i++ {
 		in := "s" + nodeLabel(i)[1:]
-		out := "s" + nodeLabel(i+1)[1:]
+		out := "s" + nodeLabel(i + 1)[1:]
 		if err := c.AddResistor("RL"+out, "vdd", out, 50e3); err != nil {
 			t.Fatal(err)
 		}

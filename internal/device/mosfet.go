@@ -71,8 +71,22 @@ func NewMOS(t Technology, typ MOSType, w, l float64) MOSParams {
 	}
 }
 
-// Validate checks the parameter set for physical plausibility.
+// Validate checks the parameter set for physical plausibility. Every
+// field must be finite: NaN passes the magnitude checks below (each
+// comparison is false), and an infinite Vt or Lambda would pass as a
+// device that never conducts.
 func (p MOSParams) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"W", p.W}, {"L", p.L}, {"Vt", p.Vt}, {"Mu", p.Mu},
+		{"CoxArea", p.CoxArea}, {"Lambda", p.Lambda}, {"SlopeN", p.SlopeN}, {"TempK", p.TempK},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("device: non-finite %s %g", f.name, f.v)
+		}
+	}
 	switch {
 	case p.W <= 0 || p.L <= 0:
 		return fmt.Errorf("device: non-positive geometry W=%g L=%g", p.W, p.L)
@@ -125,54 +139,87 @@ type OpPoint struct {
 	Saturated bool
 }
 
+// CompiledMOS is a MOSParams with the bias-independent constants of
+// the drain-current model folded in once: the softplus scale
+// SlopeN·kT/q and the transconductance KP, which Eval would otherwise
+// recompute (two divisions) on every call. The circuit simulator
+// compiles each MOSFET when it is added and evaluates the compiled form
+// at every stamp. Eval is bit-identical to MOSParams.Eval at every bias
+// (MOSParams.Eval delegates here, so one implementation remains).
+type CompiledMOS struct {
+	typ    MOSType
+	vt     float64
+	lambda float64
+	s      float64 // SlopeN·kT/q, the subthreshold softplus scale
+	k      float64 // KP() = µ·Cox·W/L
+}
+
+// Compile folds the per-call constants of Eval with the same
+// expressions Eval evaluates, so the compiled form rounds identically.
+func (p MOSParams) Compile() CompiledMOS {
+	return CompiledMOS{
+		typ:    p.Type,
+		vt:     p.Vt,
+		lambda: p.Lambda,
+		s:      p.SlopeN * units.ThermalVoltage(p.TempK),
+		k:      p.KP(),
+	}
+}
+
 // core evaluates the positive-frame NMOS equations for vds >= 0.
 // Returns current, ∂/∂vgs, ∂/∂vds, smoothed overdrive and saturation.
-func (p MOSParams) core(vgs, vds float64) (ids, fg, fd, vov float64, sat bool) {
-	vth := units.ThermalVoltage(p.TempK)
-	s := p.SlopeN * vth
-	vov, dvov := softplus(vgs-p.Vt, s)
-	k := p.KP()
-	clm := 1 + p.Lambda*vds
+func (c *CompiledMOS) core(vgs, vds float64) (ids, fg, fd, vov float64, sat bool) {
+	vov, dvov := softplus(vgs-c.vt, c.s)
+	k := c.k
+	clm := 1 + c.lambda*vds
 	if vds < vov {
 		// Triode. I = k·(vov·vds − vds²/2)·(1+λ·vds)
 		core := vov*vds - 0.5*vds*vds
 		ids = k * core * clm
 		fg = k * vds * clm * dvov
-		fd = k*(vov-vds)*clm + k*core*p.Lambda
+		fd = k*(vov-vds)*clm + k*core*c.lambda
 		return ids, fg, fd, vov, false
 	}
 	// Saturation. I = (k/2)·vov²·(1+λ·vds)
 	core := 0.5 * vov * vov
 	ids = k * core * clm
 	fg = k * vov * clm * dvov
-	fd = k * core * p.Lambda
+	fd = k * core * c.lambda
 	return ids, fg, fd, vov, true
 }
 
 // evalN evaluates the NMOS equations for any vds sign, using the
 // source/drain symmetry I(vgs, vds) = −I(vgs−vds, −vds).
-func (p MOSParams) evalN(vgs, vds float64) (ids, gm, gds, vov float64, sat bool) {
+func (c *CompiledMOS) evalN(vgs, vds float64) (ids, gm, gds, vov float64, sat bool) {
 	if vds >= 0 {
-		return p.core(vgs, vds)
+		return c.core(vgs, vds)
 	}
 	// Mirrored frame: I = −f(vgs−vds, −vds).
 	// ∂I/∂vgs = −f_g
 	// ∂I/∂vds = −(f_g·∂(vgs−vds)/∂vds + f_d·∂(−vds)/∂vds) = f_g + f_d
-	f, fg, fd, vov, sat := p.core(vgs-vds, -vds)
+	f, fg, fd, vov, sat := c.core(vgs-vds, -vds)
 	return -f, -fg, fg + fd, vov, sat
 }
 
 // Eval computes the channel current and small-signal conductances at
 // gate-source voltage vgs and drain-source voltage vds.
-func (p MOSParams) Eval(vgs, vds float64) OpPoint {
-	if p.Type == NMOS {
-		ids, gm, gds, vov, sat := p.evalN(vgs, vds)
+func (c *CompiledMOS) Eval(vgs, vds float64) OpPoint {
+	if c.typ == NMOS {
+		ids, gm, gds, vov, sat := c.evalN(vgs, vds)
 		return OpPoint{Ids: ids, Gm: gm, Gds: gds, VovEff: vov, Saturated: sat}
 	}
 	// PMOS: I(vgs, vds) = −I_N(−vgs, −vds).
 	// ∂I/∂vgs = −(−1)·f_g = f_g ; ∂I/∂vds = f_d.
-	ids, gm, gds, vov, sat := p.evalN(-vgs, -vds)
+	ids, gm, gds, vov, sat := c.evalN(-vgs, -vds)
 	return OpPoint{Ids: -ids, Gm: gm, Gds: gds, VovEff: vov, Saturated: sat}
+}
+
+// Eval computes the channel current and small-signal conductances at
+// gate-source voltage vgs and drain-source voltage vds. It compiles
+// the parameter set on every call; hot loops hold a CompiledMOS.
+func (p MOSParams) Eval(vgs, vds float64) OpPoint {
+	c := p.Compile()
+	return c.Eval(vgs, vds)
 }
 
 // CarrierDensity returns the inversion-layer carrier number density N

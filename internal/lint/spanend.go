@@ -56,10 +56,10 @@ func checkSpanEnd(pkg *Package) []Diagnostic {
 // spanendTracked is one span variable created in the function under
 // analysis.
 type spanendTracked struct {
-	obj    types.Object // identity in typed files; nil in test files
-	name   string       // identity fallback for untyped files
-	defIdent *ast.Ident // the defining occurrence (skipped as a use)
-	pos    token.Pos    // creation position
+	obj      types.Object // identity in typed files; nil in test files
+	name     string       // identity fallback for untyped files
+	defIdent *ast.Ident   // the defining occurrence (skipped as a use)
+	pos      token.Pos    // creation position
 }
 
 // spanendCheckBody analyses one function body. Span creations are
@@ -181,8 +181,8 @@ func spanendCheckBody(pkg *Package, body *ast.BlockStmt, out *[]Diagnostic) {
 			for _, r := range returns {
 				if r > tr.pos && r < lastEnd {
 					*out = append(*out, Diagnostic{
-						Rule:    spanendName,
-						Pos:     pkg.Fset.Position(tr.pos),
+						Rule: spanendName,
+						Pos:  pkg.Fset.Position(tr.pos),
 						Message: fmt.Sprintf("span %s leaks on the return at line %d; End it before returning or use defer",
 							tr.name, pkg.Fset.Position(r).Line),
 					})

@@ -136,6 +136,14 @@ func (f *LU) SolveInPlace(x []float64) {
 	}
 }
 
+// FactorsForTest returns the factor storage of the last factorisation
+// (L below the unit diagonal, U on and above it, rows in pivoted
+// order) and its pivot sequence, aliasing the workspace. It exists for
+// differential tests outside this package.
+func (f *LU) FactorsForTest() (lu *Matrix, pivot []int) {
+	return f.lu, f.pivot
+}
+
 // Det returns the determinant of the factored matrix.
 func (f *LU) Det() float64 {
 	d := float64(f.signP)

@@ -3,8 +3,11 @@
 // for spectral estimation, interpolation and basic statistics.
 //
 // The circuits simulated here are small (a 6T SRAM cell plus drivers is
-// ~15 nodes), so a dense LU with partial pivoting is both exact and
-// faster than any sparse machinery at this scale.
+// ~15 nodes), so a dense LU with partial pivoting is exact; PatternLU
+// replays that same elimination over a frozen structural pattern,
+// skipping only operations on exact zeros, so it returns the dense
+// code's factors and solutions bit for bit at a fraction of the work.
+// Array-scale systems use the sparse SparseLU.
 package num
 
 import (

@@ -27,7 +27,9 @@ type CycleResult struct {
 	Slow bool
 }
 
-// RunResult is the evaluation of a full pattern.
+// RunResult is the evaluation of a full pattern. Trans holds every
+// node voltage and source current of the transient; Trans.DeviceBias
+// derives a transistor's (Vgs, Id) from them on demand.
 type RunResult struct {
 	Pattern  Pattern
 	Cycles   []CycleResult

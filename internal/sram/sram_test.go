@@ -2,6 +2,7 @@ package sram
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"samurai/internal/device"
@@ -112,6 +113,19 @@ func TestDeviceParamsVtShift(t *testing.T) {
 	cfg.VtShift = map[string]float64{"M9": 0.05}
 	if _, err := DeviceParams(cfg); err == nil {
 		t.Fatal("unknown transistor VtShift accepted")
+	}
+}
+
+// TestBuildRejectsNonFiniteVtShift: a NaN or infinite VtShift reaches
+// the device's Vt and fails at Build, naming the transistor and the
+// field, instead of surfacing later as a singular MNA matrix.
+func TestBuildRejectsNonFiniteVtShift(t *testing.T) {
+	for _, dv := range []float64{math.NaN(), math.Inf(1)} {
+		cfg := CellConfig{Tech: device.Node("90nm"), VtShift: map[string]float64{"M5": dv}}
+		_, err := Build(cfg, waveform.Constant(0), waveform.Constant(1), waveform.Constant(1))
+		if err == nil || !strings.Contains(err.Error(), `"M5"`) || !strings.Contains(err.Error(), "Vt") {
+			t.Fatalf("VtShift %v: error %v, want one naming M5's Vt", dv, err)
+		}
 	}
 }
 
