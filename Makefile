@@ -73,7 +73,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReplay$$' -fuzztime=10s ./internal/jobd
 	$(GO) test -run='^$$' -fuzz='^FuzzCursorEquivalence$$' -fuzztime=10s ./internal/waveform
 	$(GO) test -run='^$$' -fuzz='^FuzzParseDeck$$' -fuzztime=10s ./internal/circuit
-	$(GO) test -run='^$$' -fuzz='^FuzzSparseVsDenseLU$$' -fuzztime=10s ./internal/num
 	$(GO) test -run='^$$' -fuzz='^FuzzPatternVsDenseLU$$' -fuzztime=10s ./internal/num
 
 bench:
@@ -110,7 +109,7 @@ bench-golden:
 # ratio is stable enough to read the ≥5x per-trap-path speedup off
 # ns/op vs ns/trap-path.
 bench-json:
-	$(GO) test -bench='^(BenchmarkRun|BenchmarkFullMethodology|BenchmarkArrayTransient|BenchmarkCellTransient|BenchmarkFig2MarginStack|BenchmarkFig3SpectralDensity|BenchmarkFig5GlitchScenarios|BenchmarkRareSpeedup)$$' \
+	$(GO) test -bench='^(BenchmarkRun|BenchmarkFullMethodology|BenchmarkCellTransient|BenchmarkFig2MarginStack|BenchmarkFig3SpectralDensity|BenchmarkFig5GlitchScenarios|BenchmarkRareSpeedup)$$' \
 		-benchmem -benchtime=2x -run=^$$ . > bench_current.txt
 	$(GO) test -bench='^(BenchmarkCoreUniformise|BenchmarkBatchUniformise)$$' \
 		-benchmem -benchtime=20x -run=^$$ . >> bench_current.txt

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"samurai/internal/circuit"
 	"samurai/internal/device"
 	"samurai/internal/markov"
 	"samurai/internal/rng"
@@ -90,46 +89,6 @@ func benchBatchUniformise(b *testing.B, n int) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/trap-path")
 	b.ReportMetric(float64(seqNs)/float64(b.Elapsed().Nanoseconds()), "speedup-x")
-}
-
-// benchArrayTransient runs a hold-state transient on an n×n shared-line
-// SRAM array through the automatically selected sparse MNA backend. It
-// reports per-step cost and the frozen pattern's nonzero count — the
-// acceptance criterion is that ns/step tracks nnz (which grows with
-// cell count), not unknowns² as the dense path would.
-func benchArrayTransient(b *testing.B, n int) {
-	b.ReportAllocs()
-	tech := device.Node("90nm")
-	wl := make([]*waveform.PWL, n)
-	bl := make([]*waveform.PWL, n)
-	blb := make([]*waveform.PWL, n)
-	arr, err := sram.BuildArray(sram.ArrayConfig{Rows: n, Cols: n, Cell: sram.CellConfig{Tech: tech}}, wl, bl, blb)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ic := arr.InitialConditions(func(r, c int) int { return (r + c) % 2 })
-	const steps = 10
-	const dt = 2e-11
-	nnz := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := arr.Circuit.NewRunner(circuit.TransientSpec{
-			T0: 0, T1: steps * dt, Dt: dt,
-			UIC: true, InitialV: ic,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for !r.Done() {
-			if err := r.Step(dt); err != nil {
-				b.Fatal(err)
-			}
-		}
-		nnz = r.MatrixNNZ()
-	}
-	b.ReportMetric(float64(nnz), "nnz")
-	b.ReportMetric(float64(arr.Circuit.Size()), "unknowns")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
 }
 
 func benchCellTransient(b *testing.B) {

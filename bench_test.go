@@ -224,19 +224,6 @@ func BenchmarkBatchUniformise(b *testing.B) {
 	}
 }
 
-// BenchmarkArrayTransient measures hold-state transient stepping on
-// shared-bitline SRAM arrays through the sparse MNA path. The reported
-// ns/step should scale with the nnz metric (structural nonzeros of the
-// frozen pattern), not with unknowns² — that near-linear trend across
-// 8×8 → 16×16 → 64×64 is the PR 8 sparse-path acceptance criterion.
-func BenchmarkArrayTransient(b *testing.B) {
-	for _, n := range []int{8, 16, 64} {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			benchArrayTransient(b, n)
-		})
-	}
-}
-
 // BenchmarkCellTransient measures one clean 9-write SRAM transient —
 // the circuit-simulator cost unit of the methodology.
 func BenchmarkCellTransient(b *testing.B) {

@@ -13,6 +13,10 @@
 //	C1 out 0 2f
 //	.tran 10p 10n
 //
+// A deck may have at most circuit.MaxUnknowns (1000) MNA unknowns: one
+// per non-ground node plus one per voltage source. The solver is dense,
+// so a larger deck is refused with an error naming both counts.
+//
 // Usage: spicesim [-o out.csv] deck.sp   (or pipe the deck on stdin)
 package main
 

@@ -8,7 +8,6 @@ import (
 	"samurai/internal/rng"
 	"samurai/internal/rtn"
 	"samurai/internal/sram"
-	"samurai/internal/trap"
 	"samurai/internal/waveform"
 )
 
@@ -28,37 +27,6 @@ type CoupledResult struct {
 	Traces   map[string]*rtn.Trace
 	NumError int
 	NumSlow  int
-}
-
-// coupledTrap carries the live state of one trap across circuit steps:
-// its pending uniformisation candidate time and current occupancy.
-type coupledTrap struct {
-	tr         trap.Trap
-	lambdaStar float64
-	filled     bool
-	next       float64 // next candidate event time
-	r          *rng.Stream
-	path       *markov.Path
-}
-
-// advanceTo consumes all candidate events up to t1, thinning them with
-// the propensities evaluated at gate bias vgs. The bias is frozen over
-// the (one circuit timestep wide) window — the co-simulation is
-// first-order accurate in dt, while remaining exact in the candidate
-// event times because λ* is bias-independent (Eq 1).
-func (ct *coupledTrap) advanceTo(ctx trap.Context, t1, vgs float64) {
-	for ct.next <= t1 {
-		lc, le := ctx.Rates(ct.tr, vgs)
-		lambdaNext := lc
-		if ct.filled {
-			lambdaNext = le
-		}
-		if ct.r.Float64() < lambdaNext/ct.lambdaStar {
-			ct.path.Transition(ct.next)
-			ct.filled = !ct.filled
-		}
-		ct.next += ct.r.Exp(ct.lambdaStar)
-	}
 }
 
 // RunCoupled executes the coupled co-simulation. Each circuit step:
@@ -87,33 +55,22 @@ func RunCoupled(cfg Config) (*CoupledResult, error) {
 	t0, t1 := 0.0, cfg.Pattern.Duration()
 	ctx := cfg.Tech.TrapContext(cfg.Cell.Defaults().Vdd)
 
-	// Instantiate live trap state per transistor, reusing pinned
+	// One batch of live trap lanes per transistor, reusing pinned
 	// profiles when provided so Run and RunCoupled can be compared on
-	// identical populations.
-	live := map[string][]*coupledTrap{}
-	profiles := map[string]trap.Profile{}
+	// identical populations. Lane k of transistor i draws from
+	// root.Split(2000+i).Split(k), as in Run.
+	live := map[string]*markov.BatchState{}
 	for i, name := range sram.Transistors {
 		dev := cell.Params[name]
 		profile, ok := cfg.Profiles[name]
 		if !ok {
 			profile = cfg.Tech.TrapProfiler().Sample(dev.W, dev.L, ctx, root.Split(uint64(1000+i)))
 		}
-		profiles[name] = profile
-		devStream := root.Split(uint64(2000 + i))
-		cts := make([]*coupledTrap, len(profile.Traps))
-		for k, tr := range profile.Traps {
-			r := devStream.Split(uint64(k))
-			ct := &coupledTrap{
-				tr:         tr,
-				lambdaStar: profile.Ctx.RateSum(tr),
-				filled:     tr.InitFilled,
-				r:          r,
-				path:       markov.NewPath(t0, t1, tr.InitFilled),
-			}
-			ct.next = t0 + r.Exp(ct.lambdaStar)
-			cts[k] = ct
+		bs := markov.NewBatchState()
+		if err := bs.Start(profile.Ctx, profile.Traps, t0, t1, root.Split(uint64(2000+i))); err != nil {
+			return nil, err
 		}
-		live[name] = cts
+		live[name] = bs
 	}
 
 	firstBit := 0
@@ -142,13 +99,11 @@ func RunCoupled(cfg Config) (*CoupledResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			nFilled := 0
-			for _, ct := range live[name] {
-				ct.advanceTo(profiles[name].Ctx, next, vgs)
-				if ct.filled {
-					nFilled++
-				}
-			}
+			// The bias is frozen over the (one circuit timestep wide)
+			// window: the co-simulation is first-order accurate in dt,
+			// while exact in the candidate times because λ* is
+			// bias-independent (Eq 1).
+			nFilled := live[name].AdvanceTo(next, vgs)
 			iRTN := 0.0
 			if nFilled > 0 {
 				dev := cell.Params[name]
@@ -189,11 +144,7 @@ func RunCoupled(cfg Config) (*CoupledResult, error) {
 		Traces: map[string]*rtn.Trace{},
 	}
 	for _, name := range sram.Transistors {
-		paths := make([]*markov.Path, len(live[name]))
-		for k, ct := range live[name] {
-			paths[k] = ct.path
-		}
-		out.Paths[name] = paths
+		out.Paths[name] = live[name].Finish()
 		out.Traces[name] = &rtn.Trace{T: traceT[name], I: traceI[name]}
 	}
 	out.Cycles = sram.ClassifyCycles(cfg.Pattern, q)

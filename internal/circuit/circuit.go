@@ -6,10 +6,11 @@
 // It is the substrate standing in for SpiceOPUS/BSIM-4 in the SAMURAI
 // methodology (see DESIGN.md): the circuits involved — 6T SRAM cells
 // with drivers — have ~15 nodes, so a dense LU factorisation per Newton
-// iteration is exact. Each solve context freezes the MNA pattern on its
-// first stamp pass and replays the dense elimination over it
-// (num.PatternLU), bit-identical to the dense code; MOSFETs are
-// evaluated from compiled parameters behind a one-slot memo per device.
+// iteration is exact; a circuit above MaxUnknowns is refused. Each
+// solve context freezes the MNA pattern on its first stamp pass and
+// replays the dense elimination over it (num.PatternLU), bit-identical
+// to the dense code; MOSFETs are evaluated from compiled parameters
+// behind a one-slot memo per device.
 // A transient records node voltages and source currents only;
 // TransientResult.DeviceBias derives a device's bias on demand.
 //
@@ -21,6 +22,7 @@ package circuit
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"samurai/internal/device"
@@ -89,22 +91,35 @@ func (c *Circuit) register(name string) error {
 	return nil
 }
 
-// AddResistor adds a two-terminal linear resistor.
+// AddResistor adds a two-terminal linear resistor. Its resistance and
+// its conductance 1/ohms must both be finite: an infinite resistance
+// would simulate an open circuit and an infinite conductance a singular
+// matrix, far from the card that caused them.
 func (c *Circuit) AddResistor(name, n1, n2 string, ohms float64) error {
-	if ohms <= 0 {
+	g := 1 / ohms
+	switch {
+	case ohms <= 0:
 		return fmt.Errorf("circuit: resistor %q has non-positive value %g", name, ohms)
+	case !isFinite(ohms):
+		return fmt.Errorf("circuit: resistor %q has non-finite value %g", name, ohms)
+	case !isFinite(g):
+		return fmt.Errorf("circuit: resistor %q value %g gives non-finite conductance %g", name, ohms, g)
 	}
 	if err := c.register(name); err != nil {
 		return err
 	}
-	c.elems = append(c.elems, &resistorElem{id: name, a: c.node(n1), b: c.node(n2), g: 1 / ohms})
+	c.elems = append(c.elems, &resistorElem{id: name, a: c.node(n1), b: c.node(n2), g: g})
 	return nil
 }
 
-// AddCapacitor adds a two-terminal linear capacitor.
+// AddCapacitor adds a two-terminal linear capacitor of finite
+// capacitance.
 func (c *Circuit) AddCapacitor(name, n1, n2 string, farads float64) error {
 	if farads <= 0 {
 		return fmt.Errorf("circuit: capacitor %q has non-positive value %g", name, farads)
+	}
+	if !isFinite(farads) {
+		return fmt.Errorf("circuit: capacitor %q has non-finite value %g", name, farads)
 	}
 	if err := c.register(name); err != nil {
 		return err
@@ -222,6 +237,9 @@ func (c *Circuit) nodeName(idx int) string {
 	}
 	return c.nodeNames[idx]
 }
+
+// isFinite reports whether v is neither NaN nor ±Inf.
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // voltage reads node voltage idx from solution vector x.
 func voltage(x []float64, idx int) float64 {

@@ -19,13 +19,33 @@ func TestDuplicateElementNameRejected(t *testing.T) {
 	}
 }
 
+// TestInvalidElementValues: a non-positive or non-finite resistance,
+// a resistance whose conductance overflows, and a non-positive or
+// non-finite capacitance are refused, and leave nothing behind.
 func TestInvalidElementValues(t *testing.T) {
-	c := New()
-	if err := c.AddResistor("R", "a", "b", 0); err == nil {
-		t.Fatal("zero resistance accepted")
-	}
-	if err := c.AddCapacitor("C", "a", "b", -1); err == nil {
-		t.Fatal("negative capacitance accepted")
+	addR := func(c *Circuit, v float64) error { return c.AddResistor("R", "a", "b", v) }
+	addC := func(c *Circuit, v float64) error { return c.AddCapacitor("C", "a", "b", v) }
+	for _, tc := range []struct {
+		name string
+		add  func(c *Circuit, v float64) error
+		v    float64
+		want string
+	}{
+		{"zero resistance", addR, 0, "non-positive"},
+		{"NaN resistance", addR, math.NaN(), "non-finite"},
+		{"infinite resistance", addR, math.Inf(1), "non-finite"},
+		{"overflowing conductance", addR, 1e-320, "non-finite"},
+		{"negative capacitance", addC, -1, "non-positive"},
+		{"NaN capacitance", addC, math.NaN(), "non-finite"},
+		{"infinite capacitance", addC, math.Inf(1), "non-finite"},
+	} {
+		c := New()
+		if err := tc.add(c, tc.v); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want a %s value error", tc.name, err, tc.want)
+		}
+		if len(c.elems) != 0 || c.Size() != 0 {
+			t.Errorf("%s: rejected element left %d elements and %d unknowns behind", tc.name, len(c.elems), c.Size())
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"math"
 
 	"samurai/internal/device"
@@ -29,40 +30,28 @@ func (m Method) String() string {
 }
 
 // stampCtx carries everything an element needs to contribute to one
-// Newton iteration of one (DC or transient) solve. It owns either a
-// dense or a sparse linear-algebra backend; elements stamp through
-// addA/addB and never see which one is active.
+// Newton iteration of one (DC or transient) solve. Elements stamp
+// through addA/addB into the dense MNA matrix and RHS.
 //
-// Both backends freeze the MNA pattern on the first stamping pass. The
-// pattern is identical for every iteration and timestep — element order
-// is fixed and each element's A-coordinates depend only on circuit
-// topology (the DC and transient capacitor stamps hit the same
-// positions; only the dense RHS differs) — so one recording serves the
-// whole life of the context, and a stamp that leaves it (a topology
-// bug) fails loudly.
+// The first stamping pass freezes the MNA pattern. The pattern is
+// identical for every iteration and timestep — element order is fixed
+// and each element's A-coordinates depend only on circuit topology (the
+// DC and transient capacitor stamps hit the same positions; only the
+// RHS differs) — so one recording serves the whole life of the context,
+// and a stamp that leaves it (a topology bug) fails loudly.
 type stampCtx struct {
-	// Dense backend (nil when sparse is active). While recording, addA
-	// marks each entry it touches in onPat; finishDenseRecording turns
-	// the marks into pat, the ascending row-major offsets of the
-	// structural entries (row i's are pat[patRow[i]:patRow[i+1]]), and
-	// builds the frozen-pattern LU over them. Afterwards addA panics
-	// on an unmarked entry, so every entry outside pat stays +0.
-	a      *num.Matrix // MNA matrix, Size×Size
-	plu    *num.PatternLU
-	onPat  []bool
-	pat    []int32
-	patRow []int32
-	// Sparse backend (nil when dense is active). The first stamping
-	// pass records the coordinate sequence; finishRecording freezes it
-	// into a CSR pattern plus a scatter list, after which addA is a
-	// single indexed accumulate.
-	sp        *num.Sparse
-	slu       *num.SparseLU
-	recording bool       // first stamping pass, either backend
-	coords    [][2]int32 // recorded (i,j) op sequence (sparse recording only)
-	vals      []float64  // values stamped while recording
-	scatter   []int32    // op index -> sp.Val position
-	cursor    int
+	// While recording, addA marks each entry it touches in onPat;
+	// finishRecording turns the marks into pat, the ascending row-major
+	// offsets of the structural entries (row i's are
+	// pat[patRow[i]:patRow[i+1]]), and builds the frozen-pattern LU over
+	// them. Afterwards addA panics on an unmarked entry, so every entry
+	// outside pat stays +0.
+	a         *num.Matrix // MNA matrix, Size×Size
+	plu       *num.PatternLU
+	recording bool // first stamping pass
+	onPat     []bool
+	pat       []int32
+	patRow    []int32
 
 	b      []float64 // RHS
 	x      []float64 // current Newton iterate
@@ -82,12 +71,26 @@ type stampCtx struct {
 	resid []float64
 }
 
+// MaxUnknowns is the largest MNA system the solver accepts. A solve
+// context holds the dense matrix, its pattern marks and the PatternLU
+// workspace: about 26 bytes per matrix entry, 26 MB at this size. Up to
+// it the dense path measured within 2× of a sparse LU's time on RC
+// ladders and meshes; the methodology's cells have 12 unknowns. A
+// larger circuit is refused rather than solved slowly.
+const MaxUnknowns = 1000
+
 // newStampCtx builds a solve context with all workspaces preallocated
-// for the circuit's current size, picking the linear-algebra backend
-// per opt.Solver.
-func newStampCtx(c *Circuit, opt Options) *stampCtx {
+// for the circuit's current size. It refuses a circuit above
+// MaxUnknowns before allocating anything.
+func newStampCtx(c *Circuit, opt Options) (*stampCtx, error) {
 	n := c.Size()
-	st := &stampCtx{
+	if n > MaxUnknowns {
+		return nil, fmt.Errorf("%w: %d unknowns, limit %d", ErrTooLarge, n, MaxUnknowns)
+	}
+	return &stampCtx{
+		a:         num.NewMatrix(n, n),
+		onPat:     make([]bool, n*n),
+		recording: true,
 		b:         make([]float64, n),
 		x:         make([]float64, n),
 		nNodes:    len(c.nodeNames),
@@ -96,41 +99,23 @@ func newStampCtx(c *Circuit, opt Options) *stampCtx {
 		mos:       make([]mosMemo, len(c.mosfets)),
 		xNew:      make([]float64, n),
 		resid:     make([]float64, n),
-		recording: true,
-	}
-	if opt.useSparse(n) {
-		st.slu = num.NewSparseLU()
-	} else {
-		st.a = num.NewMatrix(n, n)
-		st.onPat = make([]bool, n*n)
-	}
-	return st
+	}, nil
 }
 
 // addA accumulates v into MNA matrix position (i, j).
 func (st *stampCtx) addA(i, j int, v float64) {
-	if st.a != nil {
-		off := i*st.a.Cols + j
-		if !st.onPat[off] {
-			st.markPattern(off)
-		}
-		st.a.Data[off] += v
-		return
+	off := i*st.a.Cols + j
+	if !st.onPat[off] {
+		st.markPattern(off)
 	}
-	if st.recording {
-		st.coords = append(st.coords, [2]int32{int32(i), int32(j)})
-		st.vals = append(st.vals, v)
-		return
-	}
-	st.sp.Val[st.scatter[st.cursor]] += v
-	st.cursor++
+	st.a.Data[off] += v
 }
 
-// markPattern adds a dense entry to the pattern being recorded; after
-// the first pass it is a stamp outside the frozen pattern.
+// markPattern adds an entry to the pattern being recorded; after the
+// first pass it is a stamp outside the frozen pattern.
 func (st *stampCtx) markPattern(off int) {
 	if !st.recording {
-		panic("circuit: dense stamp outside the recorded pattern")
+		panic("circuit: stamp outside the recorded pattern")
 	}
 	st.onPat[off] = true
 }
@@ -141,50 +126,36 @@ func (st *stampCtx) addB(i int, v float64) {
 }
 
 // beginStamp resets the assembly state for one Newton iteration. Once
-// the dense pattern is frozen only its entries can be nonzero, so only
-// they are cleared.
+// the pattern is frozen only its entries can be nonzero, so only they
+// are cleared.
 //
 //lint:hot
 func (st *stampCtx) beginStamp() {
-	switch {
-	case st.pat != nil:
+	if st.pat != nil {
 		for _, off := range st.pat {
 			st.a.Data[off] = 0
 		}
-	case st.a != nil:
+	} else {
 		st.a.Zero()
-	case st.sp != nil:
-		st.sp.Zero()
 	}
-	st.cursor = 0
 	for i := range st.b {
 		st.b[i] = 0
 	}
 }
 
-// factor factorises the assembled matrix. The first call on either
-// backend freezes the recorded pattern. On the sparse path later calls
-// verify the stamp sequence length so a diverging stamp order fails
-// loudly instead of silently scattering into the wrong entries; on the
-// dense path addA already refuses an entry outside the pattern.
+// factor factorises the assembled matrix. The first call freezes the
+// recorded pattern; afterwards addA already refuses an entry outside
+// it.
 func (st *stampCtx) factor() error {
-	if st.a != nil {
-		if st.recording {
-			st.finishDenseRecording()
-		}
-		return st.plu.FactorInto(st.a)
-	}
 	if st.recording {
 		st.finishRecording()
-	} else if st.cursor != len(st.scatter) {
-		panic("circuit: sparse stamp sequence diverged from recorded pattern")
 	}
-	return st.slu.FactorInto(st.sp)
+	return st.plu.FactorInto(st.a)
 }
 
-// finishDenseRecording freezes the marked entries into the pattern
-// lists and builds the frozen-pattern LU over them.
-func (st *stampCtx) finishDenseRecording() {
+// finishRecording freezes the marked entries into the pattern lists
+// and builds the frozen-pattern LU over them.
+func (st *stampCtx) finishRecording() {
 	n := st.a.Rows
 	nnz := 0
 	for _, on := range st.onPat {
@@ -207,38 +178,6 @@ func (st *stampCtx) finishDenseRecording() {
 	st.recording = false
 }
 
-// finishRecording builds the frozen CSR pattern from the recorded
-// coordinate sequence, replays the recorded values into it, and drops
-// the recording buffers.
-func (st *stampCtx) finishRecording() {
-	bld := num.NewSparseBuilder(len(st.b))
-	for _, c := range st.coords {
-		bld.Entry(int(c[0]), int(c[1]))
-	}
-	st.sp = bld.Build()
-	st.scatter = make([]int32, len(st.coords))
-	for k, c := range st.coords {
-		st.scatter[k] = int32(st.sp.Index(int(c[0]), int(c[1])))
-	}
-	for k, v := range st.vals {
-		st.sp.Val[st.scatter[k]] += v
-	}
-	st.cursor = len(st.scatter)
-	st.coords, st.vals = nil, nil
-	st.recording = false
-}
-
-// solveInPlace overwrites x (initially the RHS) with the solution.
-//
-//lint:hot
-func (st *stampCtx) solveInPlace(x []float64) {
-	if st.a != nil {
-		st.plu.SolveInPlace(x)
-		return
-	}
-	st.slu.SolveInPlace(x)
-}
-
 // residualOK verifies the accepted Newton step actually solves the
 // linear system it was computed from: ‖A·x − b‖∞ ≤ tol·max(1, ‖A‖·‖x‖).
 // The scaling makes this a backward-stability guard: a healthy
@@ -249,27 +188,20 @@ func (st *stampCtx) solveInPlace(x []float64) {
 // ill-conditioned factorisation has residual ~‖A‖·‖x‖ itself and is
 // rejected.
 //
-// On the dense backend the product and ‖A‖ run over the frozen pattern
-// only. For finite x every skipped term is (+0)·x = ±0 added to a row
-// sum that starts at +0 and so is never −0, and an entry of +0 cannot
-// raise the max, so the verdict is the full product's bit for bit; a
-// non-finite x takes the full product, where 0·Inf = NaN matters.
+// The product and ‖A‖ run over the frozen pattern only. For finite x
+// every skipped term is (+0)·x = ±0 added to a row sum that starts at
+// +0 and so is never −0, and an entry of +0 cannot raise the max, so
+// the verdict is the full product's bit for bit; a non-finite x takes
+// the full product, where 0·Inf = NaN matters.
 //
 //lint:hot
 func (st *stampCtx) residualOK(tol float64) bool {
-	var maxA float64
-	switch {
-	case st.a != nil && finite(st.xNew):
+	if finite(st.xNew) {
 		return st.patternResidual() <= tol*residualScale(st.patternMaxAbs(), st.xNew)
-	case st.a != nil:
-		st.a.MulVecInto(st.resid, st.xNew)
-		maxA = st.a.MaxAbs()
-	default:
-		st.sp.MulVecInto(st.resid, st.xNew)
-		maxA = st.sp.MaxAbs()
 	}
+	st.a.MulVecInto(st.resid, st.xNew)
 	num.SubInto(st.resid, st.resid, st.b)
-	return num.VecNormInf(st.resid) <= tol*residualScale(maxA, st.xNew)
+	return num.VecNormInf(st.resid) <= tol*residualScale(st.a.MaxAbs(), st.xNew)
 }
 
 // residualScale is max(1, maxA·‖x‖∞), residualOK's bound scale.

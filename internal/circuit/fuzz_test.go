@@ -24,6 +24,7 @@ func FuzzParseDeck(f *testing.F) {
 		".tran x y\n",
 		strings.Repeat("R1 a b 1k\n", 3), // duplicate names
 	}
+	seeds = append(seeds, nonFiniteDecks...)
 	for _, s := range seeds {
 		f.Add(s)
 	}

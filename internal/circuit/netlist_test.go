@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -146,6 +147,16 @@ C1 a 0 1p
 	}
 }
 
+// nonFiniteDecks hold an element value that only a non-finite check
+// catches: an infinite resistance (an open circuit), a resistance whose
+// conductance overflows (a singular matrix at the first solve) and an
+// infinite capacitance (a transient that cannot converge).
+var nonFiniteDecks = []string{
+	"V1 a 0 DC 1\nR1 a b infinity\nR2 b 0 1k\n",
+	"V1 a 0 DC 1\nR1 a b 1e-320\nR2 b 0 1k\n",
+	"V1 a 0 DC 1\nR1 a b 1k\nC1 b 0 infinity\n.tran 1p 10p\n",
+}
+
 func TestParseDeckErrors(t *testing.T) {
 	cases := []string{
 		"R1 a b",                         // too few fields
@@ -162,6 +173,50 @@ func TestParseDeckErrors(t *testing.T) {
 		if _, err := ParseDeck(strings.NewReader(src)); err == nil {
 			t.Errorf("deck %q accepted", src)
 		}
+	}
+	for _, src := range nonFiniteDecks {
+		if _, err := ParseDeck(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("deck %q: error %v, want a non-finite value error", src, err)
+		}
+	}
+}
+
+// TestRCLadderTransientWithoutUIC runs a 48-stage RC ladder (50
+// unknowns) from its DC operating point. Backward Euler on an RC ladder
+// driven by a rising source is monotone, so at every sample the node
+// voltages must not increase along the ladder.
+func TestRCLadderTransientWithoutUIC(t *testing.T) {
+	const stages = 48
+	var src strings.Builder
+	src.WriteString("V1 n0 0 PWL(0 0 1n 1)\n")
+	for i := 1; i <= stages; i++ {
+		fmt.Fprintf(&src, "R%d n%d n%d 1k\nC%d n%d 0 1p\n", i, i-1, i, i, i)
+	}
+	src.WriteString(".tran 50p 10n\n")
+	deck, err := ParseDeck(strings.NewReader(src.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := deck.Circuit.Size(); n != stages+2 {
+		t.Fatalf("ladder has %d unknowns, want %d", n, stages+2)
+	}
+	res, err := deck.Circuit.Transient(deck.Tran)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Times[len(res.Times)-1]; got != deck.Tran.T1 {
+		t.Fatalf("transient ended at %g s, want %g s", got, deck.Tran.T1)
+	}
+	for k := range res.Times {
+		for i := 0; i < stages; i++ {
+			near, far := res.V[fmt.Sprintf("n%d", i)][k], res.V[fmt.Sprintf("n%d", i+1)][k]
+			if far > near {
+				t.Fatalf("t=%g s: V(n%d) = %g exceeds V(n%d) = %g", res.Times[k], i+1, far, i, near)
+			}
+		}
+	}
+	if v := res.V["n1"][len(res.Times)-1]; !(v > 0.5 && v < 1) {
+		t.Fatalf("V(n1) = %g at the end, want a charged but not full first stage", v)
 	}
 }
 

@@ -27,10 +27,6 @@ type Options struct {
 	Gmin float64
 	// Method selects the transient integration scheme.
 	Method Method
-	// Solver selects the linear-algebra backend for the MNA system.
-	// The zero value (SolverAuto) picks dense for small circuits and
-	// sparse for array-scale ones.
-	Solver Solver
 	// Ctx, when non-nil, cancels a transient analysis between steps:
 	// Runner.Step returns the wrapped ctx error as soon as the
 	// cancellation is observed. The sampled solution up to that point
@@ -59,41 +55,12 @@ func (o Options) Defaults() Options {
 	return o
 }
 
-// Solver selects the linear-algebra backend used for the MNA system.
-type Solver int
-
-const (
-	// SolverAuto picks dense below sparseAutoThreshold unknowns and
-	// sparse at or above it.
-	SolverAuto Solver = iota
-	// SolverDense forces the dense LU path regardless of size.
-	SolverDense
-	// SolverSparse forces the sparse LU path regardless of size.
-	SolverSparse
-)
-
-// sparseAutoThreshold is the unknown count at which SolverAuto switches
-// from dense to sparse. A 6T cell plus drivers is ~15 unknowns — dense
-// wins there by avoiding all indexing indirection — while even the
-// smallest shared-bitline array (8×8 ≈ 200+ unknowns) factors orders of
-// magnitude faster sparse. The crossover sits well between the two.
-const sparseAutoThreshold = 50
-
-// useSparse reports whether a circuit with n unknowns should use the
-// sparse backend under these options.
-func (o Options) useSparse(n int) bool {
-	switch o.Solver {
-	case SolverDense:
-		return false
-	case SolverSparse:
-		return true
-	default:
-		return n >= sparseAutoThreshold
-	}
-}
-
 // ErrNoConvergence is returned when Newton iteration fails to settle.
 var ErrNoConvergence = errors.New("circuit: Newton iteration did not converge")
+
+// ErrTooLarge is returned for a circuit with more than MaxUnknowns MNA
+// unknowns.
+var ErrTooLarge = errors.New("circuit: too many unknowns for the dense MNA solver")
 
 // newtonSolve runs damped Newton–Raphson at a fixed time/step,
 // overwriting st.x with the solution. Iteration counts are published to
@@ -120,7 +87,7 @@ func (c *Circuit) newtonSolve(st *stampCtx, opt Options) error {
 		}
 		xNew := st.xNew
 		copy(xNew, st.b)
-		st.solveInPlace(xNew)
+		st.plu.SolveInPlace(xNew)
 		// Damp node-voltage updates; branch currents move freely.
 		maxDv := 0.0
 		for i := 0; i < st.nNodes; i++ {
@@ -162,7 +129,10 @@ func (c *Circuit) newtonSolve(st *stampCtx, opt Options) error {
 // The returned map holds every non-ground node voltage.
 func (c *Circuit) OperatingPoint(guess map[string]float64, opt Options) (map[string]float64, error) {
 	opt = opt.Defaults()
-	st := newStampCtx(c, opt)
+	st, err := newStampCtx(c, opt)
+	if err != nil {
+		return nil, err
+	}
 	for name, v := range guess {
 		if idx, ok := c.nodeIndex[name]; ok && idx >= 0 {
 			st.x[idx] = v
@@ -345,14 +315,17 @@ const maxPrealloc = 1 << 20
 func (c *Circuit) NewRunner(spec TransientSpec) (*Runner, error) {
 	opt := spec.Options.Defaults()
 	for _, v := range [...]float64{spec.T0, spec.T1, spec.Dt} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !isFinite(v) {
 			return nil, fmt.Errorf("circuit: transient needs finite T0, T1 and Dt (got %g, %g, %g)", spec.T0, spec.T1, spec.Dt)
 		}
 	}
 	if spec.Dt <= 0 || spec.T1 <= spec.T0 {
 		return nil, errors.New("circuit: transient needs T1 > T0 and Dt > 0")
 	}
-	st := newStampCtx(c, opt)
+	st, err := newStampCtx(c, opt)
+	if err != nil {
+		return nil, err
+	}
 	st.time = spec.T0
 	if spec.UIC {
 		for name, v := range spec.InitialV {
@@ -425,21 +398,6 @@ func makeCols(n, length int) [][]float64 {
 
 // Time returns the current simulation time.
 func (r *Runner) Time() float64 { return r.t }
-
-// MatrixNNZ reports the number of structural nonzeros in the MNA
-// matrix pattern: the frozen CSR pattern size on the sparse backend,
-// n² on the dense one. The sparse pattern exists once the first solve
-// has stamped (NewRunner's DC seed or first step); before that it
-// reports 0.
-func (r *Runner) MatrixNNZ() int {
-	if r.st.a != nil {
-		return r.st.a.Rows * r.st.a.Cols
-	}
-	if r.st.sp == nil {
-		return 0
-	}
-	return r.st.sp.NNZ()
-}
 
 // Done reports whether the run has reached its end time.
 func (r *Runner) Done() bool { return r.t >= r.t1 }

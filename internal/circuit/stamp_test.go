@@ -1,6 +1,8 @@
 package circuit
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -93,11 +95,14 @@ func TestNewRunnerBoundsPreallocation(t *testing.T) {
 }
 
 // TestDenseStampOutsidePatternPanics: once the first pass has frozen
-// the dense pattern, a stamp outside it fails loudly, as a diverging
-// stamp sequence does on the sparse backend.
+// the pattern, a stamp outside it (a topology bug) fails loudly instead
+// of accumulating in an entry beginStamp never clears.
 func TestDenseStampOutsidePatternPanics(t *testing.T) {
 	c := rcDeck(t)
-	st := newStampCtx(c, Options{}.Defaults())
+	st, err := newStampCtx(c, Options{}.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := c.newtonSolve(st, Options{}.Defaults()); err != nil {
 		t.Fatal(err)
 	}
@@ -118,4 +123,45 @@ func TestDenseStampOutsidePatternPanics(t *testing.T) {
 		}
 	}
 	t.Fatal("no entry outside the pattern")
+}
+
+// resistorChain returns a circuit of n resistors in series from ground,
+// so n node unknowns and no branch unknowns.
+func resistorChain(t *testing.T, n int) *Circuit {
+	t.Helper()
+	c := New()
+	prev := Ground
+	for i := 1; i <= n; i++ {
+		node := fmt.Sprintf("n%d", i)
+		if err := c.AddResistor(fmt.Sprintf("R%d", i), prev, node, 1e3); err != nil {
+			t.Fatal(err)
+		}
+		prev = node
+	}
+	return c
+}
+
+// TestSizeLimit: a circuit above MaxUnknowns is refused by both entry
+// points before anything is allocated; one at the limit gets its solve
+// context.
+func TestSizeLimit(t *testing.T) {
+	big := resistorChain(t, MaxUnknowns+1)
+	want := fmt.Sprintf("%d unknowns, limit %d", MaxUnknowns+1, MaxUnknowns)
+	if _, err := big.OperatingPoint(nil, Options{}); !errors.Is(err, ErrTooLarge) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OperatingPoint: error %v, want ErrTooLarge naming %q", err, want)
+	}
+	if _, err := big.NewRunner(TransientSpec{T0: 0, T1: 1e-9, Dt: 1e-12}); !errors.Is(err, ErrTooLarge) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("NewRunner: error %v, want ErrTooLarge naming %q", err, want)
+	}
+	if _, err := big.NewRunner(TransientSpec{T0: 0, T1: 1e-9, Dt: 1e-12, UIC: true}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("NewRunner with UIC: error %v, want ErrTooLarge", err)
+	}
+	at := resistorChain(t, MaxUnknowns)
+	st, err := newStampCtx(at, Options{}.Defaults())
+	if err != nil {
+		t.Fatalf("circuit at the limit refused: %v", err)
+	}
+	if st.a.Rows != MaxUnknowns {
+		t.Fatalf("solve context sized %d, want %d", st.a.Rows, MaxUnknowns)
+	}
 }

@@ -22,8 +22,8 @@ const two53 = 1 << 53
 
 // candChunk is the number of (inter-arrival, accept) candidate pairs
 // pre-drawn per lane per rng.FillCandidates call. Over-drawing past the
-// horizon is unobservable: lane child streams exist only for the
-// duration of one Run, and entry i of a fill is a pure prefix function
+// horizon is unobservable: lane child streams exist only from Start to
+// Finish of one run, and entry i of a fill is a pure prefix function
 // of the stream (see FillCandidates), so paths stay bit-identical to
 // sequential no matter where the chunk boundaries fall.
 const candChunk = 64
@@ -55,6 +55,10 @@ type BatchState struct {
 	// capHint carries each lane's event count to the next Run so path
 	// storage is allocated once instead of grown log-many times.
 	capHint []int
+	// The run between Start and Finish: its traps (for InitFilled) and
+	// the paths being filled, one per lane.
+	traps []trap.Trap
+	paths []*Path
 }
 
 // NewBatchState returns an empty workspace; it sizes itself lazily on
@@ -103,22 +107,31 @@ func (bs *BatchState) grow(n int) {
 // once per (lane, bias value) instead of per candidate — eliminating
 // both math.Exp calls and two divisions from the inner loop.
 func (bs *BatchState) Run(tctx trap.Context, traps []trap.Trap, bias *waveform.PWL, t0, tf float64, parent *rng.Stream) ([]*Path, error) {
+	if err := bs.Start(tctx, traps, t0, tf, parent); err != nil {
+		return nil, err
+	}
+	bs.walk(bias, tf)
+	return bs.Finish(), nil
+}
+
+// Start sets up one lane per trap over [t0, tf]: it derives the lane
+// streams, compiles the traps, pre-draws the first candidate chunk and
+// places each lane at its first candidate instant (the same first Exp
+// draw the sequential kernel makes). Run, or AdvanceTo calls followed
+// by Finish, then advance the lanes. Filled is not stored while the
+// lanes advance — states strictly alternate, so Finish rebuilds it from
+// InitFilled and len(Times) in one pass.
+func (bs *BatchState) Start(tctx trap.Context, traps []trap.Trap, t0, tf float64, parent *rng.Stream) error {
 	if tf <= t0 {
-		return nil, ErrBadInterval
+		return ErrBadInterval
 	}
 	if err := tctx.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	n := len(traps)
 	bs.grow(n)
-	paths := make([]*Path, n)
-
-	// Lane init: derive streams, compile traps, pre-draw the first
-	// candidate chunk and place each lane at its first candidate instant
-	// (the same first Exp draw the sequential kernel makes). Filled is
-	// not stored during the walk — states strictly alternate, so it is
-	// rebuilt from InitFilled and len(Times) in one pass at the end.
-	minNext := math.Inf(1)
+	bs.traps = traps
+	bs.paths = make([]*Path, n)
 	for k := 0; k < n; k++ {
 		parent.SplitInto(uint64(k), &bs.streams[k])
 		bs.comp[k] = tctx.Compile(traps[k])
@@ -131,23 +144,33 @@ func (bs *BatchState) Run(tctx trap.Context, traps []trap.Trap, bias *waveform.P
 		}
 		p := &Path{Times: make([]float64, 1, hint), End: tf}
 		p.Times[0] = t0
-		paths[k] = p
+		bs.paths[k] = p
 		base := k * candChunk
 		bs.streams[k].FillCandidates(bs.dtBuf[base:base+candChunk], bs.rawBuf[base:base+candChunk], bs.comp[k].Sum)
 		bs.pos[k] = 0
-		t := t0 + bs.dtBuf[base]
-		bs.t[k] = t
+		bs.t[k] = t0 + bs.dtBuf[base]
+	}
+	return nil
+}
+
+// walk advances every lane to tf through one shared walk over the bias
+// PWL's segments. Region r of the PWL is:
+//
+//	r == 0: (-inf, T[0]], constant V[0]
+//	0 < r < m: (T[r-1], T[r]], linear V[r-1]→V[r]
+//	r == m: (T[m-1], +inf), constant V[m-1]
+//
+// matching PWL.Eval's clamp/exact-hit/interpolate branches exactly.
+// sort.SearchFloat64s(T, t) returns precisely this region index.
+func (bs *BatchState) walk(bias *waveform.PWL, tf float64) {
+	paths := bs.paths
+	n := len(paths)
+	minNext := math.Inf(1)
+	for _, t := range bs.t[:n] {
 		if t < minNext {
 			minNext = t
 		}
 	}
-
-	// Shared segment walk. Region r of the PWL is:
-	//   r == 0: (-inf, T[0]], constant V[0]
-	//   0 < r < m: (T[r-1], T[r]], linear V[r-1]→V[r]
-	//   r == m: (T[m-1], +inf), constant V[m-1]
-	// matching PWL.Eval's clamp/exact-hit/interpolate branches exactly.
-	// sort.SearchFloat64s(T, t) returns precisely this region index.
 	T, V := bias.T, bias.V
 	m := len(T)
 	r := sort.SearchFloat64s(T, minNext)
@@ -197,14 +220,38 @@ func (bs *BatchState) Run(tctx trap.Context, traps []trap.Trap, bias *waveform.P
 			r++
 		}
 	}
+}
 
-	for k := 0; k < n; k++ {
+// AdvanceTo advances every lane of the run begun by Start through its
+// candidates up to t, thinning them at the constant gate bias v, and
+// returns how many lanes are filled at t. Calls with nondecreasing t
+// let a caller feed back a bias it only learns as the run proceeds,
+// held constant over each window. Per candidate a lane draws and
+// decides exactly as on a constant segment of Run's walk.
+func (bs *BatchState) AdvanceTo(t, v float64) int {
+	filled := 0
+	for k, p := range bs.paths {
+		if bs.t[k] <= t {
+			bs.t[k] = bs.advanceConst(k, p, bs.t[k], t, v)
+		}
+		if bs.filled[k] {
+			filled++
+		}
+	}
+	return filled
+}
+
+// Finish ends the run begun by Start and returns its paths: it
+// publishes each lane's candidate counts, rebuilds the strictly
+// alternating Filled sequence outside the hot loop (one cold pass
+// instead of one store per candidate) and keeps each lane's event count
+// as the next run's capacity hint.
+func (bs *BatchState) Finish() []*Path {
+	paths := bs.paths
+	for k, p := range paths {
 		publishPath(bs.comp[k].Sum, bs.cand[k], bs.acc[k])
-		p := paths[k]
-		// Rebuild the strictly-alternating state sequence outside the
-		// hot loop: one cold pass instead of one store per candidate.
 		p.Filled = make([]bool, len(p.Times))
-		f := traps[k].InitFilled
+		f := bs.traps[k].InitFilled
 		p.Filled[0] = f
 		for i := 1; i < len(p.Filled); i++ {
 			f = !f
@@ -212,7 +259,8 @@ func (bs *BatchState) Run(tctx trap.Context, traps []trap.Trap, bias *waveform.P
 		}
 		bs.capHint[k] = len(p.Times) + 8
 	}
-	return paths, nil
+	bs.traps, bs.paths = nil, nil
+	return paths
 }
 
 // advanceConst drains lane k's candidates up to segEnd under constant

@@ -181,3 +181,70 @@ func TestBatchEmptyProfile(t *testing.T) {
 		t.Fatalf("expected no paths, got %d", len(paths))
 	}
 }
+
+// TestAdvanceToMatchesSequential drives the lanes window by window with
+// a new constant bias per window, as a coupled co-simulation does. Each
+// path must be bit-identical to the sequential kernel's under the same
+// piecewise-constant bias, and each returned count must be the number
+// of reference paths filled at the window's end.
+func TestAdvanceToMatchesSequential(t *testing.T) {
+	ctx := testCtx()
+	pr := batchTestProfile(ctx, 19)
+	root := rng.New(11)
+	t0, tf := 0.0, 1e-3
+	const windows = 40
+	bias := func(i int) float64 { return 0.6 + 0.6*math.Sin(float64(i)*0.9) }
+	end := func(i int) float64 { return t0 + (tf-t0)*float64(i+1)/windows }
+
+	bs := NewBatchState()
+	if err := bs.Start(pr.Ctx, pr.Traps, t0, tf, root); err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int, windows)
+	for i := range counts {
+		counts[i] = bs.AdvanceTo(end(i), bias(i))
+	}
+	got := bs.Finish()
+
+	want, err := UniformiseProfile(pr, func(t float64) float64 {
+		i := 0
+		for i < windows-1 && t > end(i) {
+			i++
+		}
+		return bias(i)
+	}, t0, tf, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for k := range want {
+		w, g := want[k], got[k]
+		if len(g.Times) != len(w.Times) {
+			t.Fatalf("lane %d: %d events, want %d", k, len(g.Times)-1, len(w.Times)-1)
+		}
+		for i := range w.Times {
+			if math.Float64bits(g.Times[i]) != math.Float64bits(w.Times[i]) || g.Filled[i] != w.Filled[i] {
+				t.Fatalf("lane %d event %d differs", k, i)
+			}
+		}
+		total += len(w.Times) - 1
+	}
+	if total == 0 {
+		t.Fatal("degenerate fixture: no transitions in any lane")
+	}
+	for i, n := range counts {
+		filled := 0
+		for _, p := range want {
+			j := 0
+			for j+1 < len(p.Times) && p.Times[j+1] <= end(i) {
+				j++
+			}
+			if p.Filled[j] {
+				filled++
+			}
+		}
+		if n != filled {
+			t.Fatalf("window %d: AdvanceTo counted %d filled lanes, want %d", i, n, filled)
+		}
+	}
+}

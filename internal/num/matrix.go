@@ -7,7 +7,6 @@
 // replays that same elimination over a frozen structural pattern,
 // skipping only operations on exact zeros, so it returns the dense
 // code's factors and solutions bit for bit at a fraction of the work.
-// Array-scale systems use the sparse SparseLU.
 package num
 
 import (
