@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race lint lint-bench suppressions check bench bench-smoke bench-json bench-golden smoke-service smoke-fabric vv vv-rare cover fuzz-smoke
+.PHONY: build test vet fmt race lint lint-bench suppressions check bench bench-smoke bench-gate bench-json bench-golden smoke-service smoke-fabric vv vv-rare cover fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -38,8 +38,10 @@ lint-bench:
 	echo "samurailint full sweep: $${dur}s (limit 60s)"; \
 	if [ $$dur -gt 60 ]; then echo "lint-bench: sweep exceeded 60s" >&2; exit 1; fi
 
-# check is the full local gate — identical to what CI runs on every PR.
-check: build test vet fmt race lint suppressions bench-smoke bench-golden vv vv-rare cover
+# check is the full local gate: the steps of CI's check job, in its
+# order, each CI step calling the target of the same gate. CI's other
+# jobs run `make fuzz-smoke`, `make smoke-service` and `make smoke-fabric`.
+check: build test vet fmt race lint-bench suppressions vv vv-rare cover bench-smoke bench-gate bench-golden
 
 # vv runs the statistical conformance matrix (DESIGN.md §10): occupancy,
 # dwell and transition statistics sampled through the production trap
@@ -61,7 +63,9 @@ vv-rare:
 	@echo wrote rare_report.json
 
 # cover publishes a coverage summary for the tier-1 tree. Coverage is
-# advisory (see check.sh for the threshold note), never a hard gate.
+# advisory, never a hard gate: a drop well under ~70 % total usually
+# means a new subsystem landed without its tests, but failing the build
+# on it would just reward assertion-free filler tests.
 cover:
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./... > /dev/null
 	@$(GO) tool cover -func=coverage.out | tail -n 1
@@ -84,6 +88,15 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ . > bench.txt
 	@tail -n 3 bench.txt
+
+# bench-gate parses the bench.txt that bench-smoke wrote into
+# bench_smoke.json and arms the regression gate: allocs/op and B/op are
+# deterministic even at -benchtime=1x, so any >10% growth against the
+# checked-in baseline (bench_baseline.txt) fails. ns/op stays ungated —
+# wall clock is too noisy. This holds the tracing layer to its
+# zero-steady-state-allocation budget.
+bench-gate:
+	$(GO) run ./cmd/benchjson -baseline bench_baseline.txt -gate -runinfo -o bench_smoke.json bench.txt
 
 # bench-golden runs the samuraibench module's tests, then a short
 # untraced pass of all five workloads at seed 1, whose first ops must
@@ -119,14 +132,18 @@ bench-json:
 
 # smoke-service exercises samuraid end to end: build -race, start on an
 # ephemeral port, run a tiny array job over HTTP, SIGTERM, assert a
-# clean drain and a non-empty job store.
+# clean drain and a non-empty job store. The store, log and trace are
+# left in a fresh smoke-out/ (CI uploads them).
 smoke-service:
-	./scripts/smoke_samuraid.sh service
+	rm -rf smoke-out
+	./scripts/smoke_samuraid.sh service smoke-out
 
 # smoke-fabric exercises the distributed sweep fabric: a samuraid
 # coordinator with a 1s lease TTL, two samuraiw workers (one rigged to
 # crash mid-lease without releasing), a 32-cell job swept to done, and
 # assertions that the abandoned lease was stolen (steals_total >= 1 in
-# /fabric/status) and every cell is durable.
+# /fabric/status) and every cell is durable. The WAL, logs and status
+# snapshot are left in a fresh fabric-out/ (CI uploads them).
 smoke-fabric:
-	./scripts/smoke_samuraid.sh fabric
+	rm -rf fabric-out
+	./scripts/smoke_samuraid.sh fabric fabric-out

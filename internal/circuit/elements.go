@@ -95,7 +95,7 @@ func newStampCtx(c *Circuit, opt Options) (*stampCtx, error) {
 		x:         make([]float64, n),
 		nNodes:    len(c.nodeNames),
 		method:    opt.Method,
-		gmin:      opt.Gmin,
+		gmin:      gmin,
 		mos:       make([]mosMemo, len(c.mosfets)),
 		xNew:      make([]float64, n),
 		resid:     make([]float64, n),

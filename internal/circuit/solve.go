@@ -16,15 +16,6 @@ import (
 type Options struct {
 	// MaxNewton is the Newton iteration cap per solve.
 	MaxNewton int
-	// VTol is the node-voltage convergence tolerance, V.
-	VTol float64
-	// ResTol is the KCL residual tolerance, A.
-	ResTol float64
-	// MaxStepV limits the per-iteration voltage update (damping), V.
-	MaxStepV float64
-	// Gmin is the convergence-aid conductance from every node to
-	// ground.
-	Gmin float64
 	// Method selects the transient integration scheme.
 	Method Method
 	// Ctx, when non-nil, cancels a transient analysis between steps:
@@ -40,20 +31,21 @@ func (o Options) Defaults() Options {
 	if o.MaxNewton == 0 {
 		o.MaxNewton = 200
 	}
-	if o.VTol == 0 {
-		o.VTol = 1e-6
-	}
-	if o.ResTol == 0 {
-		o.ResTol = 1e-9
-	}
-	if o.MaxStepV == 0 {
-		o.MaxStepV = 0.5
-	}
-	if o.Gmin == 0 {
-		o.Gmin = 1e-12
-	}
 	return o
 }
+
+// Solver tolerances.
+const (
+	// vTol is the node-voltage convergence tolerance, V.
+	vTol = 1e-6
+	// resTol is the KCL residual tolerance, A.
+	resTol = 1e-9
+	// maxStepV limits the per-iteration voltage update (damping), V.
+	maxStepV = 0.5
+	// gmin is the convergence-aid conductance from every node to ground
+	// once the DC gmin ladder has relaxed.
+	gmin = 1e-12
+)
 
 // ErrNoConvergence is returned when Newton iteration fails to settle.
 var ErrNoConvergence = errors.New("circuit: Newton iteration did not converge")
@@ -97,8 +89,8 @@ func (c *Circuit) newtonSolve(st *stampCtx, opt Options) error {
 			}
 		}
 		scale := 1.0
-		if maxDv > opt.MaxStepV {
-			scale = opt.MaxStepV / maxDv
+		if maxDv > maxStepV {
+			scale = maxStepV / maxDv
 		}
 		for i := 0; i < n; i++ {
 			if i < st.nNodes {
@@ -108,11 +100,11 @@ func (c *Circuit) newtonSolve(st *stampCtx, opt Options) error {
 			}
 		}
 		//lint:ignore floateq scale is exactly the literal 1.0 whenever no damping step-limit was applied
-		if scale == 1.0 && maxDv < opt.VTol {
+		if scale == 1.0 && maxDv < vTol {
 			// Voltage convergence alone can be fooled by a bad linear
 			// solve; only accept the iterate if it also satisfies the
 			// system it came from to within the KCL residual tolerance.
-			if st.residualOK(opt.ResTol) {
+			if st.residualOK(resTol) {
 				mNewtonIterations.Add(int64(iter + 1))
 				return nil
 			}
@@ -133,26 +125,46 @@ func (c *Circuit) OperatingPoint(guess map[string]float64, opt Options) (map[str
 	if err != nil {
 		return nil, err
 	}
-	for name, v := range guess {
+	c.setNodes(st, guess)
+	if err := c.gminLadder(st, opt); err != nil {
+		return nil, err
+	}
+	for _, e := range c.elems {
+		e.advance(st)
+	}
+	out := map[string]float64{}
+	for i, name := range c.nodeNames {
+		out[name] = st.x[i]
+	}
+	return out, nil
+}
+
+// setNodes sets the node voltages of st's iterate that v names.
+func (c *Circuit) setNodes(st *stampCtx, v map[string]float64) {
+	for name, x := range v {
 		if idx, ok := c.nodeIndex[name]; ok && idx >= 0 {
-			st.x[idx] = v
+			st.x[idx] = x
 		}
 	}
-	// gmin stepping: start with a heavy convergence aid and relax it.
-	// Once two consecutive levels agree within VTol on every node the
-	// ladder has converged and the remaining (easier) levels are
-	// skipped — they could only move the solution by less than the
-	// tolerance again.
+}
+
+// gminLadder solves the DC operating point in st from the iterate it
+// holds, by gmin stepping: it starts with a heavy convergence aid and
+// relaxes it. Once two consecutive levels agree within vTol on every
+// node the ladder has converged and the remaining (easier) levels are
+// skipped — they could only move the solution by less than the
+// tolerance again — so st.gmin is left at the level it stopped at.
+func (c *Circuit) gminLadder(st *stampCtx, opt Options) error {
 	prev := make([]float64, st.nNodes)
-	for li, g := range []float64{1e-3, 1e-6, 1e-9, opt.Gmin} {
+	for li, g := range []float64{1e-3, 1e-6, 1e-9, gmin} {
 		st.gmin = g
 		if err := c.newtonSolve(st, opt); err != nil {
-			return nil, err
+			return err
 		}
 		if li > 0 {
 			settled := true
 			for i := 0; i < st.nNodes; i++ {
-				if math.Abs(st.x[i]-prev[i]) >= opt.VTol {
+				if math.Abs(st.x[i]-prev[i]) >= vTol {
 					settled = false
 					break
 				}
@@ -163,14 +175,7 @@ func (c *Circuit) OperatingPoint(guess map[string]float64, opt Options) (map[str
 		}
 		copy(prev, st.x[:st.nNodes])
 	}
-	for _, e := range c.elems {
-		e.advance(st)
-	}
-	out := map[string]float64{}
-	for i, name := range c.nodeNames {
-		out[name] = st.x[i]
-	}
-	return out, nil
+	return nil
 }
 
 // TransientResult holds the sampled solution of a transient run: the
@@ -327,24 +332,17 @@ func (c *Circuit) NewRunner(spec TransientSpec) (*Runner, error) {
 		return nil, err
 	}
 	st.time = spec.T0
-	if spec.UIC {
-		for name, v := range spec.InitialV {
-			if idx, ok := c.nodeIndex[name]; ok && idx >= 0 {
-				st.x[idx] = v
-			}
+	c.setNodes(st, spec.InitialV)
+	if !spec.UIC {
+		// The DC operating point, then one more solve at the final gmin
+		// from its node voltages, so that the branch currents are those
+		// of the circuit itself at the first recorded sample.
+		err := c.gminLadder(st, opt)
+		if err == nil {
+			st.gmin = gmin
+			err = c.newtonSolve(st, opt)
 		}
-	} else {
-		op, err := c.OperatingPoint(spec.InitialV, opt)
 		if err != nil {
-			return nil, fmt.Errorf("circuit: transient DC seed failed: %w", err)
-		}
-		for name, v := range op {
-			st.x[c.nodeIndex[name]] = v
-		}
-		// One in-place DC solve so the branch-current unknowns (which
-		// OperatingPoint does not return) are consistent at the first
-		// recorded sample.
-		if err := c.newtonSolve(st, opt); err != nil {
 			return nil, fmt.Errorf("circuit: transient DC seed failed: %w", err)
 		}
 	}

@@ -46,11 +46,7 @@ func baseline(t *testing.T, spec jobd.Spec) (*montecarlo.ArrayResult, []jobd.Cel
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := make([]jobd.CellRecord, 0, len(res.Outcomes))
-	for _, o := range res.Outcomes {
-		recs = append(recs, jobd.NewCellRecord(o))
-	}
-	return res, recs
+	return res, res.Outcomes
 }
 
 // assertMerged compares the coordinator's merged records and summary

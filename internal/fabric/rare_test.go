@@ -9,6 +9,7 @@ import (
 
 	"samurai/internal/jobd"
 	"samurai/internal/montecarlo"
+	"samurai/internal/obs"
 	"samurai/internal/rng"
 	"samurai/internal/sram"
 )
@@ -55,10 +56,7 @@ func TestFabricRareMergeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]jobd.CellRecord, 0, len(res.Outcomes))
-	for _, o := range res.Outcomes {
-		want = append(want, jobd.NewCellRecord(o))
-	}
+	want := res.Outcomes
 
 	c, srv := newFabric(t, t.TempDir(), Options{LeaseCells: 5, LeaseTTL: time.Minute})
 	v, err := c.Submit(spec)
@@ -147,5 +145,53 @@ func TestFabricRareDuplicateMismatchCaught(t *testing.T) {
 	fv, _ := c.Get(v.ID)
 	if fv.State != jobd.StateFailed {
 		t.Fatalf("job is %s after a determinism violation, want failed", fv.State)
+	}
+}
+
+// TestFabricRareSeriesCountEachJobOnce: the samurai_rare_* series are
+// published once per job, by the scheduler's summary, never by a lease.
+// A plain job adds nothing to the path counter, a rare_array job adds
+// exactly its cell count, and the ESS gauge then holds that job's ESS.
+func TestFabricRareSeriesCountEachJobOnce(t *testing.T) {
+	paths := obs.GetCounter("samurai_rare_paths_total", "")
+	ess := obs.GetGauge("samurai_rare_ess", "")
+	c, srv := newFabric(t, t.TempDir(), Options{LeaseCells: 5, LeaseTTL: time.Minute})
+	plain := func(_ context.Context, _ sram.CellConfig, _ sram.Pattern, _ float64, seed uint64) (int, int, int, error) {
+		return int(seed % 2), int(seed % 3), int(seed % 7), nil
+	}
+	const cells = 24
+	for _, spec := range []jobd.Spec{
+		{Type: jobd.TypeArray, Seed: 99, Cells: cells, Workers: 1},
+		rareTestSpec(cells, 1),
+	} {
+		before := paths.Value()
+		v, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewWorker(WorkerOptions{
+			BaseURL: srv.URL, Poll: 10 * time.Millisecond, ExitWhenDone: true,
+			Runner: plain, RareRunner: stubRareRunner,
+		})
+		if err := w.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		fv, _ := c.Get(v.ID)
+		if fv.State != jobd.StateDone {
+			t.Fatalf("%s job is %s (%s), want done", spec.Type, fv.State, fv.Error)
+		}
+		added := paths.Value() - before
+		if spec.Type == jobd.TypeArray {
+			if added != 0 {
+				t.Fatalf("plain %d-cell job added %d rare-event paths, want 0", cells, added)
+			}
+			continue
+		}
+		if added != cells {
+			t.Fatalf("rare_array %d-cell job added %d rare-event paths, want %d", cells, added, cells)
+		}
+		if got, want := ess.Value(), fv.Result.Rare.ESS; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("samurai_rare_ess = %g after the job, want its ESS %g", got, want)
+		}
 	}
 }

@@ -92,8 +92,8 @@ func (o ExecutorOptions) withDefaults() ExecutorOptions {
 }
 
 // Executor is the lease loop: it acquires cell-range leases, simulates
-// them (an array lease with montecarlo.RunArrayCtx restricted to the
-// leased subset, a run job's one cell with one runner call), and
+// them (an array lease with montecarlo.RunRange over the leased range,
+// a run job's one cell with one runner call), and
 // streams checkpoints back. Executors hold no durable state — killing
 // one loses nothing but the lease TTL.
 type Executor struct {
@@ -256,7 +256,7 @@ func (e *Executor) runLease(ctx context.Context, grant LeaseResponse) error {
 		e.heartbeat(lctx, grant, lose)
 	}()
 
-	// The checkpoint channel is sized for the whole range, so OnCell
+	// The checkpoint channel is sized for the whole range, so onCell
 	// (called on simulation goroutines) never blocks on the sender: a
 	// slow scheduler stalls durability, not simulation.
 	recs := make(chan CellRecord, grant.Hi-grant.Lo)
@@ -269,9 +269,9 @@ func (e *Executor) runLease(ctx context.Context, grant LeaseResponse) error {
 		}
 	}()
 
-	onCell := func(o montecarlo.CellOutcome) {
+	onCell := func(o CellRecord) {
 		mwCellsSim.Inc()
-		recs <- NewCellRecord(o)
+		recs <- o
 	}
 	run := e.runner(*grant.Spec, grant.Job)
 	rctx := lctx
@@ -284,7 +284,7 @@ func (e *Executor) runLease(ctx context.Context, grant LeaseResponse) error {
 	if grant.Spec.Type == TypeRun {
 		// A run job's one cell is the nominal cell at the job's seed: no
 		// variation is drawn and the seed is not split.
-		o := montecarlo.CellOutcome{Index: 0}
+		o := CellRecord{Index: 0}
 		o.Errors, o.Slow, o.TrapCount, _, _, runErr = run(rctx, cfg.Cell, cfg.Pattern, cfg.Scale, 0, cfg.Seed)
 		if runErr == nil {
 			o.Failed = o.Errors > 0
@@ -293,13 +293,8 @@ func (e *Executor) runLease(ctx context.Context, grant LeaseResponse) error {
 	} else {
 		// The executor streams raw records (counts + per-cell log-LR);
 		// the aggregate is the scheduler's to compute once every cell is
-		// durable, so the lease-local one is discarded.
-		_, runErr = montecarlo.RunArrayCtx(rctx, cfg, nil, montecarlo.ArrayOptions{
-			Subset:    &montecarlo.IndexRange{Lo: grant.Lo, Hi: grant.Hi},
-			Drain:     e.drain,
-			OnCell:    onCell,
-			RareEvent: &montecarlo.RareEventSpec{TiltEV: grant.Spec.TiltEV, Runner: run},
-		})
+		// durable.
+		runErr = montecarlo.RunRange(rctx, cfg, grant.Lo, grant.Hi, run, grant.Spec.TiltEV, e.drain, onCell)
 	}
 	close(recs)
 	<-senderDone
@@ -355,11 +350,7 @@ func (e *Executor) runLease(ctx context.Context, grant LeaseResponse) error {
 func (e *Executor) runner(spec Spec, job string) montecarlo.RareCtxRunner {
 	run := e.opts.RareRunner
 	if spec.Type != TypeRareArray {
-		plain := e.opts.Runner
-		run = func(ctx context.Context, cell sram.CellConfig, pattern sram.Pattern, scale, _ float64, seed uint64) (nerr, slow, traps int, logLR, glitch float64, err error) {
-			nerr, slow, traps, err = plain(ctx, cell, pattern, scale, seed)
-			return nerr, slow, traps, 0, 0, err
-		}
+		run = montecarlo.AsRare(e.opts.Runner)
 	}
 	r := spec.Retry
 	var onRetry func(seed uint64, attempt int, err error)

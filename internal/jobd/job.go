@@ -21,13 +21,17 @@
 // # Determinism under resume
 //
 // Every array cell's random stream is derived deterministically from
-// the job seed (rng.Stream.Split by cell index), so a sweep that is
-// interrupted — crash, SIGTERM drain, restart — and resumed from the
-// store produces an ArrayResult bit-identical to an uninterrupted run
-// with the same spec. The store only has to persist *which* cells
-// finished and their outcomes; no generator state is checkpointed. The
-// resume golden tests (resume_test.go and montecarlo's
-// TestRunArrayCtxResume*) pin this property.
+// the job seed (rng.Stream.Split by cell index), so a cell's outcome
+// does not depend on which lease, executor or process ran it. A sweep
+// that is interrupted — crash, SIGTERM drain, restart — resumes by
+// leasing out only the cells without a durable record, and its summary
+// is montecarlo.Aggregate over the records in index order: bit-identical
+// to an uninterrupted montecarlo.RunArrayCtx with the same spec. The
+// store only has to persist *which* cells finished and their outcomes;
+// no generator state is checkpointed. resume_test.go pins this end to
+// end, and montecarlo's drain-and-rerun goldens
+// (TestRunArrayCtxDrainThenResumeBitIdentical,
+// TestRareSweepDrainResumeBitIdentical) pin it for montecarlo.RunRange.
 package jobd
 
 import (
@@ -167,6 +171,11 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("jobd: tilt_ev is only meaningful on %q jobs", TypeRareArray)
 	}
 	if s.Type == TypeRareArray {
+		if s.Cells < 2 {
+			// One cell has no sample variance: the CI half-width would be
+			// +Inf, which neither the WAL nor the API can carry.
+			return fmt.Errorf("jobd: %q jobs need at least 2 cells, got %d", TypeRareArray, s.Cells)
+		}
 		if s.WithRTN != nil && !*s.WithRTN {
 			return fmt.Errorf("jobd: %q jobs always run the RTN pass; with_rtn=false is contradictory", TypeRareArray)
 		}

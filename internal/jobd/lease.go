@@ -4,15 +4,14 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"runtime"
 	"sort"
 	"strings"
 	"time"
 
+	"samurai/internal/montecarlo"
 	"samurai/internal/obs"
-	"samurai/internal/rareevent"
 )
 
 // Lease-protocol instrumentation. Lease churn, steals and duplicate
@@ -598,39 +597,22 @@ func (s *Scheduler) retireLeasesLocked(j *Job) {
 }
 
 // finalizeLocked completes a fully checkpointed job. A run job's summary
-// is its one cell's counts. An array job's is recomputed from the
-// durable records with the operations montecarlo.RunArrayCtx uses (a
-// count and an integer sum, each divided by the cell count; the
-// weighted estimator fed in index order), so it is bit-identical to an
-// uninterrupted single-process sweep however the cells were leased,
-// stolen or resumed.
+// is its one cell's counts. An array job's is montecarlo.Aggregate over
+// the durable records in index order, the aggregate RunArrayCtx
+// returns, so it is bit-identical to an uninterrupted single-process
+// sweep however the cells were leased, stolen or resumed.
 func (s *Scheduler) finalizeLocked(j *Job) {
 	recs := j.Records()
 	if j.Spec.Type == TypeRun {
 		s.finishLocked(j, Summary{WriteErrors: recs[0].Errors, Slowdowns: recs[0].Slow, Traps: recs[0].TrapCount})
 		return
 	}
-	numFailed, trapSum := 0, 0
-	var est rareevent.Estimator
-	for _, rec := range recs {
-		x := 0.0
-		if rec.Failed {
-			numFailed++
-			x = 1
-		}
-		trapSum += rec.TrapCount
-		est.Add(math.Exp(rec.LogLR), x)
-	}
-	sum := Summary{
-		NumFailed: numFailed,
-		ErrorRate: float64(numFailed) / float64(j.CellsTotal),
-		MeanTraps: float64(trapSum) / float64(j.CellsTotal),
-	}
+	var rare *montecarlo.RareEventSpec
 	if j.Spec.Type == TypeRareArray {
-		stats := est.Stats(j.Spec.TiltEV)
-		sum.Rare = &stats
+		rare = &montecarlo.RareEventSpec{TiltEV: j.Spec.TiltEV}
 	}
-	s.finishLocked(j, sum)
+	res := montecarlo.Aggregate(recs, rare)
+	s.finishLocked(j, Summary{NumFailed: res.NumFailed, ErrorRate: res.ErrorRate, MeanTraps: res.MeanTraps, Rare: res.Rare})
 }
 
 // Status snapshots the lease state of every job and executor.

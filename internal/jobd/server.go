@@ -236,12 +236,20 @@ func JSONRoute[Req, Resp any](call func(Req) (Resp, int, error)) http.HandlerFun
 	}
 }
 
-// WriteJSON encodes v as the response body.
+// WriteJSON encodes v as the response body, one JSON line. v is encoded
+// before the status goes out, so a value JSON cannot carry (a
+// non-finite float) is answered 500 with an error body, not 200 with an
+// empty one.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("jobd: encoding the response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	//lint:ignore bareerr a failed response write means the client hung up; nothing to recover
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 // httpError writes a JSON error body.

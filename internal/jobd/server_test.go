@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -398,5 +399,30 @@ func TestServerRejectsOversizedSpec(t *testing.T) {
 	body := `{"type":"array","cells":1,"pattern":"` + strings.Repeat("0", MaxBodyBytes) + `"}`
 	if resp, _ := postJSON(t, srv.URL+"/jobs", body); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized spec: %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestServerRefusesOneCellRareArray: a one-cell rare_array job has no
+// finite CI half-width, so it is refused at submission with 400 rather
+// than finishing with a summary the WAL and the API cannot encode.
+func TestServerRefusesOneCellRareArray(t *testing.T) {
+	_, srv := newTestServer(t)
+	resp, body := postJSON(t, srv.URL+"/jobs", `{"type":"rare_array","seed":1,"cells":1,"tilt_ev":-0.01}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "at least 2 cells") {
+		t.Fatalf("one-cell rare_array: %d %s, want 400 naming the cell floor", resp.StatusCode, body)
+	}
+}
+
+// TestWriteJSONUnencodableIs500: a value JSON cannot carry becomes a
+// 500 with an error body, never a 200 with an empty one.
+func TestWriteJSONUnencodableIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, Summary{ErrorRate: math.Inf(1)})
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("error body %q is not JSON: %v", rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || body["error"] == "" {
+		t.Fatalf("unencodable value answered %d %q, want 500 with an error", rec.Code, rec.Body.String())
 	}
 }

@@ -14,67 +14,12 @@ import (
 	"samurai/internal/montecarlo"
 )
 
-// CellRecord is the JSON-safe checkpoint of one completed cell: an
-// array instance, or a run job's one nominal cell (index 0, no VtShift).
-// It mirrors montecarlo.CellOutcome minus the error field: only cells
-// that finished without a simulation error are checkpointed, so the
-// record holds the whole outcome — including bit-exact float64 fields,
-// because encoding/json emits the shortest representation that parses
-// back to the identical bits.
-type CellRecord struct {
-	Index     int                `json:"index"`
-	VtShift   map[string]float64 `json:"vt_shift,omitempty"`
-	TrapCount int                `json:"trap_count"`
-	Errors    int                `json:"errors"`
-	Slow      int                `json:"slow"`
-	Failed    bool               `json:"failed"`
-	// LogLR and GlitchDepth carry the rare-event fields of tilted
-	// sweeps; both are exactly 0 for plain array cells, so the omitempty
-	// keeps existing WALs and their golden fixtures byte-identical.
-	LogLR       float64 `json:"log_lr,omitempty"`
-	GlitchDepth float64 `json:"glitch_depth,omitempty"`
-}
-
-// NewCellRecord converts a completed outcome into its checkpoint form.
-// It panics if the outcome carries a simulation error — such cells must
-// never reach the store.
-func NewCellRecord(o montecarlo.CellOutcome) CellRecord {
-	if o.Err != nil {
-		panic("jobd: checkpointing a failed cell outcome")
-	}
-	return CellRecord{
-		Index:       o.Index,
-		VtShift:     o.VtShift,
-		TrapCount:   o.TrapCount,
-		Errors:      o.Errors,
-		Slow:        o.Slow,
-		Failed:      o.Failed,
-		LogLR:       o.LogLR,
-		GlitchDepth: o.GlitchDepth,
-	}
-}
-
-// Equal compares two checkpoints of the same cell bit-wise: all integer
-// fields, and every float (VtShift, LogLR, GlitchDepth) via
-// Float64bits. This is the lease protocol's determinism assertion — two
-// executors simulating the same (seed, index) must produce
-// indistinguishable records.
-func (c CellRecord) Equal(o CellRecord) bool {
-	if c.Index != o.Index || c.TrapCount != o.TrapCount ||
-		c.Errors != o.Errors || c.Slow != o.Slow || c.Failed != o.Failed ||
-		math.Float64bits(c.LogLR) != math.Float64bits(o.LogLR) ||
-		math.Float64bits(c.GlitchDepth) != math.Float64bits(o.GlitchDepth) ||
-		len(c.VtShift) != len(o.VtShift) {
-		return false
-	}
-	for k, cv := range c.VtShift {
-		ov, ok := o.VtShift[k]
-		if !ok || math.Float64bits(cv) != math.Float64bits(ov) {
-			return false
-		}
-	}
-	return true
-}
+// CellRecord is the checkpoint of one completed cell: an array
+// instance, or a run job's one nominal cell (index 0, no VtShift). It
+// is montecarlo's outcome itself, whose JSON form is the WAL line's, so
+// a record holds the whole outcome, float64 fields bit-exact; only
+// cells that finished without a simulation error reach it.
+type CellRecord = montecarlo.CellOutcome
 
 // record is one WAL line. Rec selects which optional fields are set.
 type record struct {
@@ -294,8 +239,24 @@ func (s *Store) AppendCell(id string, c CellRecord) error {
 	return s.append(record{Rec: "cell", ID: id, Cell: &c})
 }
 
-// AppendResult persists a finished job's aggregates.
+// AppendResult persists a finished job's aggregates. A non-finite
+// float cannot be encoded, so it is refused with the field named.
 func (s *Store) AppendResult(id string, sum Summary) error {
+	type field struct {
+		name string
+		v    float64
+	}
+	fields := []field{{"error_rate", sum.ErrorRate}, {"mean_traps", sum.MeanTraps}}
+	if r := sum.Rare; r != nil {
+		fields = append(fields,
+			field{"rare.tilt_ev", r.TiltEV}, field{"rare.p_fail", r.PFail}, field{"rare.ess", r.ESS},
+			field{"rare.lr_var", r.LRVar}, field{"rare.ci_half", r.CIHalf}, field{"rare.cv_adjusted", r.CVAdjusted})
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("jobd: job %s summary %s %v is not JSON-representable", id, f.name, f.v)
+		}
+	}
 	return s.append(record{Rec: "result", ID: id, Summary: &sum})
 }
 

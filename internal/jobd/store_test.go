@@ -5,10 +5,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
-	"samurai/internal/montecarlo"
+	"samurai/internal/rareevent"
 )
 
 func testSpec() Spec {
@@ -231,11 +233,68 @@ func TestStoreRejectsNonFiniteShifts(t *testing.T) {
 	}
 }
 
-func TestNewCellRecordPanicsOnError(t *testing.T) {
+// TestStoreRejectsNonFiniteSummary: a summary float JSON cannot carry
+// is refused before it reaches the WAL, and the error names the field.
+func TestStoreRejectsNonFiniteSummary(t *testing.T) {
+	st, _, _ := mustOpen(t, filepath.Join(t.TempDir(), "store.jsonl"))
 	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for errored outcome")
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}()
-	NewCellRecord(montecarlo.CellOutcome{Index: 0, Err: os.ErrClosed})
+	for field, sum := range map[string]Summary{
+		"error_rate":   {ErrorRate: math.NaN()},
+		"mean_traps":   {MeanTraps: math.Inf(1)},
+		"rare.ci_half": {Rare: &rareevent.ArrayStats{N: 1, PFail: 1, CIHalf: math.Inf(1)}},
+		"rare.p_fail":  {Rare: &rareevent.ArrayStats{PFail: math.NaN()}},
+	} {
+		err := st.AppendResult("job-1", sum)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("non-finite %s: error %v, want one naming the field", field, err)
+		}
+	}
+	if err := st.AppendResult("job-1", Summary{ErrorRate: 0.5, Rare: &rareevent.ArrayStats{N: 2}}); err != nil {
+		t.Fatalf("finite summary refused: %v", err)
+	}
+}
+
+// TestReplayLeasesOnlyUndoneCells: a replayed job with durable cells at
+// arbitrary indices leases out exactly the cells without a record, as
+// contiguous runs, so no checkpointed cell is simulated again.
+func TestReplayLeasesOnlyUndoneCells(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	st, _, _ := mustOpen(t, path)
+	j := newJob("job-000001", 1, arraySpec(8))
+	if err := st.AppendJob(j); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 1, 2, 5} {
+		if err := st.AppendCell(j.ID, CellRecord{Index: i, VtShift: map[string]float64{"M1": 0.001 * float64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, jobs, seq := mustOpen(t, path)
+	defer func() {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	s := New(st, jobs, seq, Options{MaxJobs: -1, LeaseCells: 8, LeaseTTL: time.Minute})
+	var ranges [][2]int
+	for {
+		grant, _, err := s.Lease(LeaseRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grant.Idle {
+			break
+		}
+		ranges = append(ranges, [2]int{grant.Lo, grant.Hi})
+	}
+	if want := [][2]int{{3, 5}, {6, 8}}; !reflect.DeepEqual(ranges, want) {
+		t.Fatalf("replayed job leased %v, want %v", ranges, want)
+	}
 }

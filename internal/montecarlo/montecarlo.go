@@ -41,7 +41,7 @@ var (
 	mCellSeconds = obs.GetHistogram("samurai_mc_cell_seconds",
 		"wall-clock duration of one cell simulation", obs.TimeBuckets())
 	mCellsPerSec = obs.GetGauge("samurai_mc_cells_per_second",
-		"throughput of the most recent RunArrayCtx")
+		"throughput of the most recent RunRange")
 )
 
 // workerBusy resolves the per-worker utilisation counter.
@@ -75,22 +75,47 @@ type ArrayConfig struct {
 	Workers int
 }
 
-// CellOutcome summarises one array cell.
+// CellOutcome summarises one array cell. It is also the checkpoint
+// record of the jobd WAL (jobd.CellRecord), so its JSON form is the
+// WAL's and /result's: encoding/json writes the shortest float that
+// parses back to the same bits, and the rare-event fields are omitted
+// when zero, as they are on every plain cell.
 type CellOutcome struct {
-	Index     int
-	VtShift   map[string]float64
-	TrapCount int
-	Errors    int
-	Slow      int
-	Failed    bool // any write error
+	Index     int                `json:"index"`
+	VtShift   map[string]float64 `json:"vt_shift,omitempty"`
+	TrapCount int                `json:"trap_count"`
+	Errors    int                `json:"errors"`
+	Slow      int                `json:"slow"`
+	Failed    bool               `json:"failed"` // any write error
 	// LogLR is the importance-sampling log-likelihood ratio of the
 	// cell's trap paths (exactly 0 outside rare-event sweeps and at
 	// tilt 0 — see markov.UniformiseTilted).
-	LogLR float64
+	LogLR float64 `json:"log_lr,omitempty"`
 	// GlitchDepth is the rare-event level function sram.GlitchDepth of
 	// the cell's Q waveform; 0 outside rare-event sweeps.
-	GlitchDepth float64
-	Err         error
+	GlitchDepth float64 `json:"glitch_depth,omitempty"`
+}
+
+// Equal compares two outcomes of the same cell bit-wise: all integer
+// fields, and every float (VtShift, LogLR, GlitchDepth) via
+// Float64bits. It is the lease protocol's determinism assertion — two
+// executors simulating the same (seed, index) must produce
+// indistinguishable outcomes.
+func (c CellOutcome) Equal(o CellOutcome) bool {
+	if c.Index != o.Index || c.TrapCount != o.TrapCount ||
+		c.Errors != o.Errors || c.Slow != o.Slow || c.Failed != o.Failed ||
+		math.Float64bits(c.LogLR) != math.Float64bits(o.LogLR) ||
+		math.Float64bits(c.GlitchDepth) != math.Float64bits(o.GlitchDepth) ||
+		len(c.VtShift) != len(o.VtShift) {
+		return false
+	}
+	for k, cv := range c.VtShift {
+		ov, ok := o.VtShift[k]
+		if !ok || math.Float64bits(cv) != math.Float64bits(ov) {
+			return false
+		}
+	}
+	return true
 }
 
 // ArrayResult aggregates the array run.
@@ -129,6 +154,16 @@ type CtxRunner func(ctx context.Context, cell sram.CellConfig, pattern sram.Patt
 // samurai.RareArrayRunnerCtx provides the standard implementation.
 type RareCtxRunner func(ctx context.Context, cell sram.CellConfig, pattern sram.Pattern, scale, tiltEV float64, seed uint64) (errors, slow, traps int, logLR, glitch float64, err error)
 
+// AsRare adapts a naive runner to the tilted shape: the tilt is
+// ignored, and the log-LR and glitch depth are exactly 0, so a plain
+// cell's outcome carries no rare-event fields.
+func AsRare(run CtxRunner) RareCtxRunner {
+	return func(ctx context.Context, cell sram.CellConfig, pattern sram.Pattern, scale, _ float64, seed uint64) (int, int, int, float64, float64, error) {
+		errs, slow, traps, err := run(ctx, cell, pattern, scale, seed)
+		return errs, slow, traps, 0, 0, err
+	}
+}
+
 // RareEventSpec switches an array sweep into importance-sampling mode:
 // every cell is simulated under the tilt and the result carries the
 // weighted (unbiased) failure-probability aggregate in ArrayResult.Rare.
@@ -140,57 +175,17 @@ type RareEventSpec struct {
 	Runner RareCtxRunner
 }
 
-// ErrDrained is returned (wrapped) by RunArrayCtx when the drain
-// channel closed before every cell was simulated: in-flight cells were
-// finished and checkpointed through OnCell, and the run can be resumed
-// later via ArrayOptions.Resume with a bit-identical final result.
+// ErrDrained is returned (wrapped) by RunRange when the drain channel
+// closed before every cell of the range was simulated: the cells in
+// flight finished and reached onCell, and the rest can run later as
+// another range with a bit-identical outcome.
 var ErrDrained = errors.New("montecarlo: array run drained before completion")
 
-// IndexRange selects the contiguous cell subset [Lo, Hi) of an array
-// sweep — the unit of work the distributed fabric leases to one worker.
-type IndexRange struct {
-	Lo, Hi int
-}
-
-// size returns the number of cells in the range.
-func (r IndexRange) size() int { return r.Hi - r.Lo }
-
-// contains reports whether i falls inside the range.
-func (r IndexRange) contains(i int) bool { return i >= r.Lo && i < r.Hi }
-
-// ArrayOptions extends RunArrayCtx with checkpoint/resume hooks. The
-// zero value runs a plain full sweep.
+// ArrayOptions extends RunArrayCtx. The zero value runs a plain sweep.
 type ArrayOptions struct {
-	// Resume holds outcomes of cells already simulated by an earlier
-	// (interrupted) run of the same ArrayConfig. Those cells are not
-	// re-simulated; their outcomes are copied into the result verbatim.
-	// Because per-cell streams derive deterministically from the root
-	// seed (rng.Stream.SplitInto(i)), the combined result is
-	// bit-identical to an uninterrupted run.
-	Resume []CellOutcome
-	// Subset, when non-nil, restricts the sweep to cell indices in
-	// [Lo, Hi): only those cells are dispatched, the completion check
-	// counts only them, and the result aggregates cover only them. Cell
-	// rng streams derive from (Seed, index) exactly as in a full sweep,
-	// so a subset run's outcomes are bit-identical to the corresponding
-	// slice of a full run — the invariant that lets the fabric shard one
-	// job across workers with no coordination beyond index ranges.
-	Subset *IndexRange
-	// OnCell, when non-nil, is invoked once per freshly simulated cell
-	// that completed without a simulation error — the checkpoint hook.
-	// It is called from worker goroutines and must be safe for
-	// concurrent use; it must not mutate the outcome.
-	OnCell func(CellOutcome)
-	// Drain, when non-nil and closed, stops the dispatch of new cells:
-	// in-flight cells finish (and checkpoint through OnCell), then
-	// RunArrayCtx returns ErrDrained. Closing Drain after the last cell
-	// was dispatched has no effect — the run completes normally.
-	Drain <-chan struct{}
 	// RareEvent, when non-nil, runs the sweep in importance-sampling
 	// mode through spec.Runner (the plain run argument is ignored) and
-	// attaches the weighted aggregate to ArrayResult.Rare. Composes
-	// with Resume/Subset/OnCell/Drain — outcomes carry their LogLR, so
-	// resumed and sharded rare sweeps stay bit-identical.
+	// attaches the weighted aggregate to ArrayResult.Rare.
 	RareEvent *RareEventSpec
 }
 
@@ -214,74 +209,115 @@ func SampleVtShifts(tech device.Technology, cfg sram.CellConfig, r *rng.Stream) 
 }
 
 // RunArrayCtx simulates cfg.Cells independent cells in parallel using
-// the supplied per-cell runner. Cancelling ctx aborts the sweep (in-flight cells stop as soon as the
-// runner observes the cancellation) and returns the wrapped ctx error;
-// closing opts.Drain stops dispatch but lets in-flight cells finish and
-// checkpoint, returning ErrDrained. Cells listed in opts.Resume are
-// skipped and their stored outcomes reused, which — because every
-// cell's stream is a pure function of (cfg.Seed, cell index) — makes a
-// resumed sweep bit-identical to an uninterrupted one.
+// the supplied per-cell runner and aggregates them: RunRange over every
+// cell, then Aggregate over the outcomes in index order. Cancelling ctx
+// aborts the sweep (in-flight cells stop as soon as the runner observes
+// the cancellation) and returns the wrapped ctx error.
 func RunArrayCtx(ctx context.Context, cfg ArrayConfig, run CtxRunner, opts ArrayOptions) (*ArrayResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	var cellRun RareCtxRunner
+	var tiltEV float64
+	switch {
+	case opts.RareEvent != nil && opts.RareEvent.Runner == nil:
+		return nil, fmt.Errorf("montecarlo: rare-event sweep with nil runner")
+	case opts.RareEvent != nil:
+		cellRun, tiltEV = opts.RareEvent.Runner, opts.RareEvent.TiltEV
+	case run == nil:
+		return nil, fmt.Errorf("montecarlo: nil runner")
+	default:
+		cellRun = AsRare(run)
 	}
 	if cfg.Cells <= 0 {
 		return nil, fmt.Errorf("montecarlo: need a positive cell count, got %d", cfg.Cells)
 	}
-	if opts.RareEvent != nil {
-		if opts.RareEvent.Runner == nil {
-			return nil, fmt.Errorf("montecarlo: rare-event sweep with nil runner")
+	// Workers write only their own cell's slot, so the writes are
+	// index-disjoint and need no lock.
+	outcomes := make([]CellOutcome, cfg.Cells)
+	err := RunRange(ctx, cfg, 0, cfg.Cells, cellRun, tiltEV, nil, func(o CellOutcome) { outcomes[o.Index] = o })
+	if err != nil {
+		return nil, err
+	}
+	res := Aggregate(outcomes, opts.RareEvent)
+	res.Config = cfg
+	return res, nil
+}
+
+// Aggregate folds a whole array's outcomes, in index order, into its
+// result: the failure count and rate and the mean trap count, each
+// divided by len(outcomes), and with rare non-nil the weighted estimate
+// at rare.TiltEV (the only field it reads), which publishes the
+// samurai_rare_* series. It is the one aggregate of an array sweep:
+// RunArrayCtx applies it to the cells it simulated and jobd to a job's
+// durable records, so the same cells give the same bits however they
+// were leased, stolen or resumed. Config is left for the caller.
+func Aggregate(outcomes []CellOutcome, rare *RareEventSpec) *ArrayResult {
+	res := &ArrayResult{Outcomes: outcomes}
+	trapSum := 0
+	var est rareevent.Estimator
+	for _, o := range outcomes {
+		x := 0.0
+		if o.Failed {
+			res.NumFailed++
+			x = 1
 		}
-	} else if run == nil {
-		return nil, fmt.Errorf("montecarlo: nil runner")
+		trapSum += o.TrapCount
+		if rare != nil {
+			est.Add(math.Exp(o.LogLR), x)
+		}
+	}
+	res.ErrorRate = float64(res.NumFailed) / float64(len(outcomes))
+	res.MeanTraps = float64(trapSum) / float64(len(outcomes))
+	if rare != nil {
+		stats := est.Stats(rare.TiltEV)
+		res.Rare = &stats
+	}
+	return res
+}
+
+// RunRange simulates cells [lo, hi) of cfg on cfg.Workers goroutines
+// (0 → GOMAXPROCS) and passes each cell that finished without error to
+// onCell, on the worker that simulated it: onCell must be safe for
+// concurrent use. Cell i's streams derive from (cfg.Seed, i) alone, so
+// a range's outcomes are bit-identical to the same cells of a whole
+// sweep, whichever range they ran in — the invariant that lets jobd
+// lease a job out as ranges and resume it from its durable cells.
+// Nothing is allocated per cell of the array, only per worker.
+//
+// Cancelling ctx aborts the range and returns the wrapped ctx error.
+// Closing drain stops dispatch: cells in flight finish and reach onCell,
+// then RunRange returns ErrDrained; a drain after the last dispatch
+// changes nothing. A cell error stops the remaining cells, and the
+// error of the lowest failing index is returned.
+func RunRange(ctx context.Context, cfg ArrayConfig, lo, hi int, run RareCtxRunner, tiltEV float64, drain <-chan struct{}, onCell func(CellOutcome)) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if cfg.Cells <= 0 {
+		return fmt.Errorf("montecarlo: need a positive cell count, got %d", cfg.Cells)
+	}
+	if run == nil {
+		return fmt.Errorf("montecarlo: nil runner")
+	}
+	if lo < 0 || hi > cfg.Cells || lo >= hi {
+		return fmt.Errorf("montecarlo: range [%d,%d) outside [0,%d)", lo, hi, cfg.Cells)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sel := IndexRange{Lo: 0, Hi: cfg.Cells}
-	if opts.Subset != nil {
-		sel = *opts.Subset
-		if sel.Lo < 0 || sel.Hi > cfg.Cells || sel.Lo >= sel.Hi {
-			return nil, fmt.Errorf("montecarlo: subset [%d,%d) outside [0,%d)", sel.Lo, sel.Hi, cfg.Cells)
-		}
-	}
 	root := rng.New(cfg.Seed)
-	outcomes := make([]CellOutcome, cfg.Cells)
-	resumed := make([]bool, cfg.Cells)
-	// nResumed counts resumed cells inside the dispatched range: those
-	// are the only ones the completion check below may credit.
-	nResumed := 0
-	for _, o := range opts.Resume {
-		if o.Index < 0 || o.Index >= cfg.Cells {
-			return nil, fmt.Errorf("montecarlo: resume outcome index %d outside [0,%d)", o.Index, cfg.Cells)
-		}
-		if resumed[o.Index] {
-			return nil, fmt.Errorf("montecarlo: duplicate resume outcome for cell %d", o.Index)
-		}
-		if o.Err != nil {
-			return nil, fmt.Errorf("montecarlo: resume outcome for cell %d carries an error", o.Index)
-		}
-		resumed[o.Index] = true
-		outcomes[o.Index] = o
-		if sel.contains(o.Index) {
-			nResumed++
-		}
-	}
 
 	// The array span parents every per-cell span: a tracer installed
 	// with trace.NewContext sees montecarlo.run_array → cell[i] →
-	// samurai.run → phases for the whole sweep.
+	// samurai.run → phases for the whole range.
 	ctx, span := trace.Start(ctx, "montecarlo.run_array")
 	defer span.End()
 	start := time.Now()
 	var done atomic.Int64      // cells simulated by this run (incl. failures)
-	var completed atomic.Int64 // cells simulated AND checkpointable (no error)
+	var completed atomic.Int64 // cells simulated without error
 
-	// Workers write only their own outcomes[i] slot (index-disjoint);
-	// failures are aggregated under a mutex with lowest-cell-index
-	// priority, so the reported error is scheduling-independent and
-	// remaining workers stop simulating doomed batches early.
+	// Failures are aggregated with lowest-cell-index priority, so the
+	// reported error is scheduling-independent and remaining workers
+	// stop simulating doomed cells early.
 	var agg conc.FirstFail
 	var wg sync.WaitGroup
 	jobs := make(chan int)
@@ -306,35 +342,31 @@ func RunArrayCtx(ctx context.Context, cfg ArrayConfig, run CtxRunner, opts Array
 				cellStart := time.Now()
 				root.SplitInto(uint64(i), &cellStream)
 				cctx, csp := trace.StartInst(ctx, "cell", uint64(i))
-				out := simulateCell(cctx, cfg, run, opts.RareEvent, i, &cellStream)
+				out, err := simulateCell(cctx, cfg, run, tiltEV, i, &cellStream)
 				csp.End()
 				cellDur := time.Since(cellStart)
 				busy += cellDur
 				mCellSeconds.Observe(cellDur.Seconds())
-				if out.Err != nil {
+				if err != nil {
 					if ctx.Err() != nil {
 						// Aborted mid-cell by cancellation: neither a
-						// checkpoint nor a cell failure.
+						// finished cell nor a cell failure.
 						drained++
 						continue
 					}
 					mCellFailures.Inc()
-					agg.Record(i, fmt.Errorf("montecarlo: cell %d: %w", out.Index, out.Err))
-					outcomes[i] = out
+					agg.Record(i, fmt.Errorf("montecarlo: cell %d: %w", i, err))
 					done.Add(1)
 					continue
 				}
-				outcomes[i] = out
 				completed.Add(1)
-				if opts.OnCell != nil {
-					opts.OnCell(out)
-				}
+				onCell(out)
 				n := done.Add(1)
 				if obs.Enabled() && time.Since(lastProgress) >= progressTick {
 					lastProgress = time.Now()
 					elapsed := lastProgress.Sub(start).Seconds()
 					obs.Emit("montecarlo.progress",
-						obs.F("done", int64(nResumed)+n),
+						obs.F("done", n),
 						obs.F("cells", cfg.Cells),
 						obs.F("cells_per_sec", float64(n)/elapsed))
 				}
@@ -344,15 +376,12 @@ func RunArrayCtx(ctx context.Context, cfg ArrayConfig, run CtxRunner, opts Array
 		}(w)
 	}
 dispatch:
-	for i := sel.Lo; i < sel.Hi; i++ {
-		if resumed[i] {
-			continue
-		}
+	for i := lo; i < hi; i++ {
 		select {
 		case jobs <- i:
 		case <-ctx.Done():
 			break dispatch
-		case <-opts.Drain:
+		case <-drain:
 			break dispatch
 		}
 	}
@@ -370,49 +399,20 @@ dispatch:
 		obs.F("cells_per_sec", float64(finished)/elapsed),
 		obs.F("workers", workers))
 	if err := agg.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("montecarlo: array run canceled: %w", err)
+		return fmt.Errorf("montecarlo: array run canceled: %w", err)
 	}
-	if total := nResumed + int(completed.Load()); total < sel.size() {
-		return nil, fmt.Errorf("%w: %d of %d cells checkpointed", ErrDrained, total, sel.size())
+	if n := int(completed.Load()); n < hi-lo {
+		return fmt.Errorf("%w: %d of %d cells finished", ErrDrained, n, hi-lo)
 	}
-
-	// Aggregates cover the dispatched range only (the whole array when
-	// no Subset is set): a fabric worker's partial run must not dilute
-	// its rates with the zero outcomes of cells it never simulated.
-	res := &ArrayResult{Config: cfg, Outcomes: outcomes}
-	trapSum := 0
-	for _, o := range outcomes[sel.Lo:sel.Hi] {
-		if o.Failed {
-			res.NumFailed++
-		}
-		trapSum += o.TrapCount
-	}
-	res.ErrorRate = float64(res.NumFailed) / float64(sel.size())
-	res.MeanTraps = float64(trapSum) / float64(sel.size())
-	if opts.RareEvent != nil {
-		// The weighted aggregate is accumulated sequentially in index
-		// order over the dispatched range — never inside the workers —
-		// so it is independent of scheduling and identical whether the
-		// outcomes were simulated here, resumed, or merged by the
-		// fabric from per-shard records.
-		var est rareevent.Estimator
-		for _, o := range outcomes[sel.Lo:sel.Hi] {
-			x := 0.0
-			if o.Failed {
-				x = 1
-			}
-			est.Add(math.Exp(o.LogLR), x)
-		}
-		stats := est.Stats(opts.RareEvent.TiltEV)
-		res.Rare = &stats
-	}
-	return res, nil
+	return nil
 }
 
-func simulateCell(ctx context.Context, cfg ArrayConfig, run CtxRunner, rare *RareEventSpec, i int, r *rng.Stream) CellOutcome {
+// simulateCell draws cell i's Vt shifts and runs it. A naive sweep's
+// runner is adapted by AsRare, so one call shape serves both modes.
+func simulateCell(ctx context.Context, cfg ArrayConfig, run RareCtxRunner, tiltEV float64, i int, r *rng.Stream) (CellOutcome, error) {
 	cell := cfg.Cell
 	cell.Tech = cfg.Tech
 	cell = cell.Defaults()
@@ -427,18 +427,13 @@ func simulateCell(ctx context.Context, cfg ArrayConfig, run CtxRunner, rare *Rar
 		scale = 0
 	}
 	r.SplitInto(2, &seedStream)
-	if rare != nil {
-		errs, slow, traps, logLR, glitch, err := rare.Runner(ctx, cell, cfg.Pattern, scale, rare.TiltEV, seedStream.Uint64())
-		return CellOutcome{
-			Index: i, VtShift: cell.VtShift,
-			TrapCount: traps, Errors: errs, Slow: slow,
-			Failed: errs > 0, LogLR: logLR, GlitchDepth: glitch, Err: err,
-		}
+	errs, slow, traps, logLR, glitch, err := run(ctx, cell, cfg.Pattern, scale, tiltEV, seedStream.Uint64())
+	if err != nil {
+		return CellOutcome{}, err
 	}
-	errs, slow, traps, err := run(ctx, cell, cfg.Pattern, scale, seedStream.Uint64())
 	return CellOutcome{
 		Index: i, VtShift: cell.VtShift,
 		TrapCount: traps, Errors: errs, Slow: slow,
-		Failed: errs > 0, Err: err,
-	}
+		Failed: errs > 0, LogLR: logLR, GlitchDepth: glitch,
+	}, nil
 }

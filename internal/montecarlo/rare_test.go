@@ -2,10 +2,8 @@ package montecarlo
 
 import (
 	"context"
-	"errors"
 	"math"
 	"runtime"
-	"sync"
 	"testing"
 
 	"samurai/internal/rng"
@@ -132,46 +130,21 @@ func TestRareSweepTiltZeroMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestRareSweepDrainResumeBitIdentical: the checkpoint/resume contract
-// extends to rare sweeps — outcomes carry their log-LR, so resuming
-// reproduces the weighted aggregate bit for bit.
+// TestRareSweepDrainResumeBitIdentical: the drain-and-resume contract
+// extends to rare sweeps — outcomes carry their log-LR, so a drained
+// range plus the rerun of its undone cells reproduces the weighted
+// aggregate bit for bit.
 func TestRareSweepDrainResumeBitIdentical(t *testing.T) {
 	cfg := resumeTestConfig()
-	opts := func() ArrayOptions { return ArrayOptions{RareEvent: rareSpec(0.07)} }
-	baseline, err := RunArrayCtx(context.Background(), cfg, nil, opts())
+	spec := rareSpec(0.07)
+	baseline, err := RunArrayCtx(context.Background(), cfg, nil, ArrayOptions{RareEvent: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, stopAfter := range []int{1, 9, 21} {
 		t.Run("", func(t *testing.T) {
-			drain := make(chan struct{})
-			var once sync.Once
-			var mu sync.Mutex
-			var checkpointed []CellOutcome
-			o := opts()
-			o.Drain = drain
-			o.OnCell = func(c CellOutcome) {
-				mu.Lock()
-				checkpointed = append(checkpointed, c)
-				reached := len(checkpointed) >= stopAfter
-				mu.Unlock()
-				if reached {
-					once.Do(func() { close(drain) })
-				}
-			}
-			_, err := RunArrayCtx(context.Background(), cfg, nil, o)
-			if err != nil && !errors.Is(err, ErrDrained) {
-				t.Fatalf("interrupted run: %v", err)
-			}
-			if err == nil {
-				return // drain raced the last dispatch; nothing to resume
-			}
-			ro := opts()
-			ro.Resume = checkpointed
-			resumed, err := RunArrayCtx(context.Background(), cfg, nil, ro)
-			if err != nil {
-				t.Fatalf("resumed run: %v", err)
-			}
+			merged := drainThenRerun(t, cfg, 0, cfg.Cells, spec.Runner, spec.TiltEV, stopAfter)
+			resumed := Aggregate(merged, spec)
 			assertRareBitIdentical(t, resumed.Outcomes, baseline.Outcomes)
 			assertRareStatsBitIdentical(t, resumed, baseline)
 		})
@@ -179,27 +152,24 @@ func TestRareSweepDrainResumeBitIdentical(t *testing.T) {
 }
 
 // TestRareSweepSubsetMerge: sharding a rare sweep into index ranges and
-// re-aggregating the merged outcomes through a full-resume run yields
-// the whole-sweep aggregate bit for bit — the fabric merge invariant.
+// aggregating the merged outcomes yields the whole-sweep aggregate bit
+// for bit — the fabric merge invariant.
 func TestRareSweepSubsetMerge(t *testing.T) {
 	cfg := resumeTestConfig()
-	baseline, err := RunArrayCtx(context.Background(), cfg, nil, ArrayOptions{RareEvent: rareSpec(-0.04)})
+	spec := rareSpec(-0.04)
+	baseline, err := RunArrayCtx(context.Background(), cfg, nil, ArrayOptions{RareEvent: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var merged []CellOutcome
-	for _, r := range []IndexRange{{0, 11}, {11, 24}, {24, 32}} {
-		o := ArrayOptions{RareEvent: rareSpec(-0.04), Subset: &r}
-		res, err := RunArrayCtx(context.Background(), cfg, nil, o)
+	merged := make([]CellOutcome, cfg.Cells)
+	for _, r := range [][2]int{{0, 11}, {11, 24}, {24, 32}} {
+		err := RunRange(context.Background(), cfg, r[0], r[1], spec.Runner, spec.TiltEV, nil,
+			func(o CellOutcome) { merged[o.Index] = o })
 		if err != nil {
 			t.Fatalf("shard %v: %v", r, err)
 		}
-		merged = append(merged, res.Outcomes[r.Lo:r.Hi]...)
 	}
-	full, err := RunArrayCtx(context.Background(), cfg, nil, ArrayOptions{RareEvent: rareSpec(-0.04), Resume: merged})
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := Aggregate(merged, spec)
 	assertRareBitIdentical(t, full.Outcomes, baseline.Outcomes)
 	assertRareStatsBitIdentical(t, full, baseline)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -65,147 +64,90 @@ func assertBitIdentical(t *testing.T, got, want []CellOutcome) {
 	}
 }
 
-// TestRunArrayCtxDrainThenResumeBitIdentical interrupts a sweep at
-// several checkpoint depths via the drain channel, then resumes each
-// interrupted sweep from exactly the cells that were checkpointed and
-// asserts the combined result is bit-identical to the uninterrupted
-// baseline.
+// drainThenRerun is the path jobd takes through an interrupted lease:
+// RunRange over [lo, hi) is drained once stopAfter cells have reached
+// onCell, and every cell it did not finish runs again as ranges of
+// contiguous undone cells. It returns the outcomes of [lo, hi) in index
+// order, merged from both passes.
+func drainThenRerun(t *testing.T, cfg ArrayConfig, lo, hi int, run RareCtxRunner, tiltEV float64, stopAfter int) []CellOutcome {
+	t.Helper()
+	merged := make([]CellOutcome, hi-lo)
+	finished := make([]bool, hi-lo)
+	var mu sync.Mutex
+	keep := func(o CellOutcome) int {
+		mu.Lock()
+		defer mu.Unlock()
+		if finished[o.Index-lo] {
+			t.Errorf("cell %d reached onCell twice", o.Index)
+		}
+		merged[o.Index-lo], finished[o.Index-lo] = o, true
+		n := 0
+		for _, f := range finished {
+			if f {
+				n++
+			}
+		}
+		return n
+	}
+	drain := make(chan struct{})
+	var once sync.Once
+	err := RunRange(context.Background(), cfg, lo, hi, run, tiltEV, drain, func(o CellOutcome) {
+		if keep(o) >= stopAfter {
+			once.Do(func() { close(drain) })
+		}
+	})
+	if err == nil {
+		// The drain raced the last dispatch and the range finished;
+		// nothing is left to rerun, which is also a valid outcome.
+		return merged
+	}
+	if !errors.Is(err, ErrDrained) {
+		t.Fatalf("interrupted range: %v", err)
+	}
+	undone := 0
+	for i := 0; i < len(finished); {
+		if finished[i] {
+			i++
+			continue
+		}
+		j := i
+		for j < len(finished) && !finished[j] {
+			j++
+		}
+		undone += j - i
+		if err := RunRange(context.Background(), cfg, lo+i, lo+j, run, tiltEV, nil, func(o CellOutcome) { keep(o) }); err != nil {
+			t.Fatalf("rerun of [%d,%d): %v", lo+i, lo+j, err)
+		}
+		i = j
+	}
+	if done := hi - lo - undone; done < stopAfter || undone == 0 {
+		t.Fatalf("%d of %d cells finished before ErrDrained, want at least %d and fewer than all", done, hi-lo, stopAfter)
+	}
+	return merged
+}
+
+// TestRunArrayCtxDrainThenResumeBitIdentical is the drain-and-resume
+// golden: a range run over the whole array is drained at several
+// checkpoint depths, the undone cells run as a second range, and the
+// merged outcomes and their Aggregate must be bit-identical to an
+// uninterrupted RunArrayCtx.
 func TestRunArrayCtxDrainThenResumeBitIdentical(t *testing.T) {
 	cfg := resumeTestConfig()
 	baseline, err := RunArrayCtx(context.Background(), cfg, resumeTestRunner, ArrayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	for _, stopAfter := range []int{1, 5, 13, 27} {
 		t.Run("", func(t *testing.T) {
-			drain := make(chan struct{})
-			var once sync.Once
-			var mu sync.Mutex
-			var checkpointed []CellOutcome
-			count := 0
-			_, err := RunArrayCtx(context.Background(), cfg, resumeTestRunner, ArrayOptions{
-				Drain: drain,
-				OnCell: func(o CellOutcome) {
-					mu.Lock()
-					checkpointed = append(checkpointed, o)
-					count++
-					reached := count >= stopAfter
-					mu.Unlock()
-					if reached {
-						once.Do(func() { close(drain) })
-					}
-				},
-			})
-			if err != nil && !errors.Is(err, ErrDrained) {
-				t.Fatalf("interrupted run: %v", err)
-			}
-			if err == nil {
-				// The drain raced the last dispatch and the sweep finished;
-				// nothing left to resume, which is also a valid outcome.
-				return
-			}
-			if len(checkpointed) < stopAfter {
-				t.Fatalf("only %d cells checkpointed before ErrDrained, want >= %d", len(checkpointed), stopAfter)
-			}
-			if len(checkpointed) >= cfg.Cells {
-				t.Fatalf("all %d cells checkpointed yet run reported ErrDrained", cfg.Cells)
-			}
-
-			resumed, err := RunArrayCtx(context.Background(), cfg, resumeTestRunner, ArrayOptions{
-				Resume: checkpointed,
-			})
-			if err != nil {
-				t.Fatalf("resumed run: %v", err)
-			}
-			assertBitIdentical(t, resumed.Outcomes, baseline.Outcomes)
+			merged := drainThenRerun(t, cfg, 0, cfg.Cells, AsRare(resumeTestRunner), 0, stopAfter)
+			assertBitIdentical(t, merged, baseline.Outcomes)
+			resumed := Aggregate(merged, nil)
 			if resumed.NumFailed != baseline.NumFailed ||
 				resumed.ErrorRate != baseline.ErrorRate ||
 				resumed.MeanTraps != baseline.MeanTraps {
-				t.Fatalf("aggregates differ after resume: %+v vs %+v",
-					resumed, baseline)
+				t.Fatalf("aggregates differ after resume: %+v vs %+v", resumed, baseline)
 			}
 		})
-	}
-}
-
-// TestRunArrayCtxResumeSubsets resumes from arbitrary stored subsets
-// (as replayed from a jobd store, which holds an index-sorted but
-// otherwise arbitrary set of finished cells) and checks bit-identity.
-func TestRunArrayCtxResumeSubsets(t *testing.T) {
-	cfg := resumeTestConfig()
-	baseline, err := RunArrayCtx(context.Background(), cfg, resumeTestRunner, ArrayOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	subsets := [][]int{
-		{0},
-		{31},
-		{0, 1, 2, 3, 4, 5, 6, 7},
-		{1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31},
-		{30, 31, 0, 4, 17}, // unsorted on purpose
-	}
-	for _, idxs := range subsets {
-		resume := make([]CellOutcome, 0, len(idxs))
-		for _, i := range idxs {
-			resume = append(resume, baseline.Outcomes[i])
-		}
-		res, err := RunArrayCtx(context.Background(), cfg, resumeTestRunner, ArrayOptions{Resume: resume})
-		if err != nil {
-			t.Fatalf("resume %v: %v", idxs, err)
-		}
-		assertBitIdentical(t, res.Outcomes, baseline.Outcomes)
-	}
-	// Resuming from the full set simulates nothing and still matches.
-	res, err := RunArrayCtx(context.Background(), cfg, resumeTestRunner, ArrayOptions{Resume: baseline.Outcomes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Outcomes, baseline.Outcomes) {
-		t.Fatal("full-resume outcomes differ from baseline")
-	}
-}
-
-// TestRunArrayCtxResumeSkipsSimulation checks resumed cells are not
-// re-simulated (the whole point of checkpointing).
-func TestRunArrayCtxResumeSkipsSimulation(t *testing.T) {
-	cfg := resumeTestConfig()
-	baseline, err := RunArrayCtx(context.Background(), cfg, resumeTestRunner, ArrayOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	ran := map[uint64]bool{}
-	counting := func(ctx context.Context, cell sram.CellConfig, p sram.Pattern, scale float64, seed uint64) (int, int, int, error) {
-		mu.Lock()
-		ran[seed] = true
-		mu.Unlock()
-		return resumeTestRunner(ctx, cell, p, scale, seed)
-	}
-	_, err = RunArrayCtx(context.Background(), cfg, counting, ArrayOptions{Resume: baseline.Outcomes[:20]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ran) != cfg.Cells-20 {
-		t.Fatalf("simulated %d cells, want %d", len(ran), cfg.Cells-20)
-	}
-}
-
-func TestRunArrayCtxResumeValidation(t *testing.T) {
-	cfg := resumeTestConfig()
-	cases := []struct {
-		name   string
-		resume []CellOutcome
-	}{
-		{"index out of range", []CellOutcome{{Index: cfg.Cells}}},
-		{"negative index", []CellOutcome{{Index: -1}}},
-		{"duplicate index", []CellOutcome{{Index: 3}, {Index: 3}}},
-		{"carried error", []CellOutcome{{Index: 0, Err: errors.New("boom")}}},
-	}
-	for _, c := range cases {
-		if _, err := RunArrayCtx(context.Background(), cfg, resumeTestRunner, ArrayOptions{Resume: c.resume}); err == nil {
-			t.Fatalf("%s accepted", c.name)
-		}
 	}
 }
 
@@ -240,14 +182,25 @@ func TestRunArrayCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestRunArrayCtxDrainAfterLastDispatch ensures a drain signal that
-// lands after the final cell was handed out does not spoil the run.
+// TestRunArrayCtxDrainAfterLastDispatch: a drain that lands after the
+// range's last cell was handed out does not spoil the run, and a drain
+// closed before the first dispatch simulates nothing.
 func TestRunArrayCtxDrainAfterLastDispatch(t *testing.T) {
 	cfg := resumeTestConfig()
-	drain := make(chan struct{})
-	close(drain) // drained from the start: nothing dispatches
-	_, err := RunArrayCtx(context.Background(), cfg, resumeTestRunner, ArrayOptions{Drain: drain})
+	cfg.Workers = 1
+	run := AsRare(resumeTestRunner)
+	// A one-cell range dispatches its only cell before the cell can
+	// finish, so the drain its onCell closes comes too late to matter.
+	late := make(chan struct{})
+	if err := RunRange(context.Background(), cfg, 7, 8, run, 0, late, func(CellOutcome) { close(late) }); err != nil {
+		t.Fatalf("drain after the last dispatch returned %v, want nil", err)
+	}
+	early := make(chan struct{})
+	close(early)
+	err := RunRange(context.Background(), cfg, 0, cfg.Cells, run, 0, early, func(o CellOutcome) {
+		t.Errorf("drained range simulated cell %d", o.Index)
+	})
 	if !errors.Is(err, ErrDrained) {
-		t.Fatalf("fully drained run returned %v, want ErrDrained", err)
+		t.Fatalf("fully drained range returned %v, want ErrDrained", err)
 	}
 }

@@ -1,8 +1,8 @@
 // Package obs is the repository's zero-dependency observability layer:
 // a race-safe metrics registry (atomic counters and gauges,
-// lock-striped histograms), lightweight wall-clock spans and structured
-// progress events, with Prometheus text exposition and pluggable event
-// sinks (stderr text, JSONL, discard).
+// lock-striped histograms) and structured progress events, with
+// Prometheus text exposition and pluggable event sinks (stderr text,
+// JSONL, discard). Spans live in the trace subpackage.
 //
 // # Determinism guarantee
 //

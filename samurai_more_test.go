@@ -189,7 +189,7 @@ func TestRareRunnerTiltZeroCleanSweepMatchesNaive(t *testing.T) {
 	for i, w := range naive.Outcomes {
 		g := rare.Outcomes[i]
 		if g.Index != w.Index || g.TrapCount != w.TrapCount || g.Errors != w.Errors ||
-			g.Slow != w.Slow || g.Failed != w.Failed || g.Err != w.Err {
+			g.Slow != w.Slow || g.Failed != w.Failed {
 			t.Fatalf("cell %d: rare %+v, naive %+v", i, g, w)
 		}
 		if len(g.VtShift) != len(w.VtShift) {
