@@ -75,6 +75,7 @@ cover:
 # more than one target in a package.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReplay$$' -fuzztime=10s ./internal/jobd
+	$(GO) test -run='^$$' -fuzz='^FuzzSpec$$' -fuzztime=10s ./internal/jobd
 	$(GO) test -run='^$$' -fuzz='^FuzzCursorEquivalence$$' -fuzztime=10s ./internal/waveform
 	$(GO) test -run='^$$' -fuzz='^FuzzParseDeck$$' -fuzztime=10s ./internal/circuit
 	$(GO) test -run='^$$' -fuzz='^FuzzPatternVsDenseLU$$' -fuzztime=10s ./internal/num

@@ -40,7 +40,7 @@ func main() {
 	coordinator := flag.String("coordinator", "http://127.0.0.1:8437", "coordinator base URL")
 	id := flag.String("id", "", "worker identity (empty = coordinator assigns one; the local- prefix is reserved)")
 	threads := flag.Int("threads", 0, "cell parallelism per lease (0 = the job spec's setting)")
-	poll := flag.Duration("poll", 500*time.Millisecond, "idle re-poll interval when no lease is available")
+	poll := flag.Duration("poll", 500*time.Millisecond, "longest the coordinator holds one lease request when no lease is available; the worker asks again at once after an idle answer")
 	once := flag.Bool("once", false, "exit when the coordinator reports all jobs done")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and pprof on this address (empty = off)")
 	progress := flag.Bool("progress", false, "log progress events to stderr as JSONL")

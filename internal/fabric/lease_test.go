@@ -69,7 +69,7 @@ func cellRec(i int, v float64) jobd.CellRecord {
 // a grant.
 func mustLease(t *testing.T, c *Coordinator, worker string) jobd.LeaseResponse {
 	t.Helper()
-	resp, code, err := c.Lease(jobd.LeaseRequest{Worker: worker})
+	resp, code, err := c.Lease(context.Background(), jobd.LeaseRequest{Worker: worker})
 	if err != nil || code != http.StatusOK {
 		t.Fatalf("lease: code %d, err %v", code, err)
 	}
@@ -95,17 +95,17 @@ func TestLeaseRenewAfterExpiry(t *testing.T) {
 
 	// In-TTL renewal works and extends the deadline.
 	clk.Advance(8 * time.Second)
-	if _, code, err := c.Lease(jobd.LeaseRequest{Worker: grant.Worker, Renew: grant.Lease}); err != nil || code != http.StatusOK {
+	if _, code, err := c.Lease(context.Background(), jobd.LeaseRequest{Worker: grant.Worker, Renew: grant.Lease}); err != nil || code != http.StatusOK {
 		t.Fatalf("in-TTL renew: code %d, err %v", code, err)
 	}
 	clk.Advance(8 * time.Second)
-	if _, code, err := c.Lease(jobd.LeaseRequest{Worker: grant.Worker, Renew: grant.Lease}); err != nil || code != http.StatusOK {
+	if _, code, err := c.Lease(context.Background(), jobd.LeaseRequest{Worker: grant.Worker, Renew: grant.Lease}); err != nil || code != http.StatusOK {
 		t.Fatalf("renew after extension: code %d, err %v", code, err)
 	}
 
 	// Let it lapse: the renewal must be refused.
 	clk.Advance(11 * time.Second)
-	_, code, err := c.Lease(jobd.LeaseRequest{Worker: grant.Worker, Renew: grant.Lease})
+	_, code, err := c.Lease(context.Background(), jobd.LeaseRequest{Worker: grant.Worker, Renew: grant.Lease})
 	if code != http.StatusGone || err == nil {
 		t.Fatalf("renew after expiry: code %d, err %v, want 410", code, err)
 	}
@@ -276,7 +276,7 @@ func TestLeaseReleaseReturnsCells(t *testing.T) {
 	}); err != nil || code != http.StatusOK {
 		t.Fatalf("checkpoint: code %d, err %v", code, err)
 	}
-	if _, code, err := c.Lease(jobd.LeaseRequest{Worker: "w-a", Release: g.Lease}); err != nil || code != http.StatusOK {
+	if _, code, err := c.Lease(context.Background(), jobd.LeaseRequest{Worker: "w-a", Release: g.Lease}); err != nil || code != http.StatusOK {
 		t.Fatalf("release: code %d, err %v", code, err)
 	}
 	st := c.Status()
@@ -287,7 +287,7 @@ func TestLeaseReleaseReturnsCells(t *testing.T) {
 		t.Fatalf("released cells not back in the pool: %+v", st.Jobs[0])
 	}
 	// Releasing again is 410: the lease no longer exists.
-	if _, code, _ := c.Lease(jobd.LeaseRequest{Worker: "w-a", Release: g.Lease}); code != http.StatusGone {
+	if _, code, _ := c.Lease(context.Background(), jobd.LeaseRequest{Worker: "w-a", Release: g.Lease}); code != http.StatusGone {
 		t.Fatalf("double release: code %d, want 410", code)
 	}
 	// The cells are immediately re-grantable.
@@ -307,7 +307,7 @@ func TestReleaseWithErrorFailsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := mustLease(t, c, "w-a")
-	if _, code, err := c.Lease(jobd.LeaseRequest{
+	if _, code, err := c.Lease(context.Background(), jobd.LeaseRequest{
 		Worker: "w-a", Release: g.Lease, Error: "cell 2: solver diverged",
 	}); err != nil || code != http.StatusOK {
 		t.Fatalf("release with error: code %d, err %v", code, err)
@@ -330,13 +330,13 @@ func TestReleaseByNonHolderRefused(t *testing.T) {
 	}
 	g := mustLease(t, c, "w-holder")
 
-	_, code, err := c.Lease(jobd.LeaseRequest{Worker: "w-intruder", Release: g.Lease, Error: "not my lease"})
+	_, code, err := c.Lease(context.Background(), jobd.LeaseRequest{Worker: "w-intruder", Release: g.Lease, Error: "not my lease"})
 	if code != http.StatusGone || err == nil {
 		t.Fatalf("foreign release: code %d, err %v, want 410", code, err)
 	}
 
 	// The lease is still live under its holder and the job unharmed.
-	if _, code, err := c.Lease(jobd.LeaseRequest{Worker: "w-holder", Renew: g.Lease}); err != nil || code != http.StatusOK {
+	if _, code, err := c.Lease(context.Background(), jobd.LeaseRequest{Worker: "w-holder", Renew: g.Lease}); err != nil || code != http.StatusOK {
 		t.Fatalf("holder renew after foreign release: code %d, err %v", code, err)
 	}
 	v, _ := c.Get(g.Job)
@@ -348,7 +348,7 @@ func TestReleaseByNonHolderRefused(t *testing.T) {
 	}
 
 	// The rightful holder's release still works.
-	if _, code, err := c.Lease(jobd.LeaseRequest{Worker: "w-holder", Release: g.Lease}); err != nil || code != http.StatusOK {
+	if _, code, err := c.Lease(context.Background(), jobd.LeaseRequest{Worker: "w-holder", Release: g.Lease}); err != nil || code != http.StatusOK {
 		t.Fatalf("holder release: code %d, err %v", code, err)
 	}
 }
@@ -371,7 +371,7 @@ func TestRunJobLeasesOneCell(t *testing.T) {
 	if g.Job != v.ID || g.Lo != 0 || g.Hi != 1 {
 		t.Fatalf("run job lease: job %s [%d,%d), want %s [0,1)", g.Job, g.Lo, g.Hi, v.ID)
 	}
-	if resp, _, _ := c.Lease(jobd.LeaseRequest{Worker: "w-b"}); !resp.Idle || resp.Done {
+	if resp, _, _ := c.Lease(context.Background(), jobd.LeaseRequest{Worker: "w-b"}); !resp.Idle || resp.Done {
 		t.Fatalf("second lease while the one cell is out: %+v", resp)
 	}
 	cp, code, err := c.Checkpoint(jobd.CheckpointRequest{
@@ -404,7 +404,7 @@ func TestCancelledRunJobLeaseGone(t *testing.T) {
 	if v, _ := c.Get(v.ID); v.State != jobd.StateCanceled {
 		t.Fatalf("cancelled run job is %s, want canceled", v.State)
 	}
-	if _, code, err := c.Lease(jobd.LeaseRequest{Worker: "w-a", Renew: g.Lease}); err == nil || code != http.StatusGone {
+	if _, code, err := c.Lease(context.Background(), jobd.LeaseRequest{Worker: "w-a", Renew: g.Lease}); err == nil || code != http.StatusGone {
 		t.Fatalf("renew after cancel: code %d, err %v, want 410", code, err)
 	}
 }
@@ -509,7 +509,7 @@ func TestDrainStopsLeasingAcceptsCheckpoints(t *testing.T) {
 	g := mustLease(t, c, "w-a")
 	c.Drain()
 
-	resp, code, err := c.Lease(jobd.LeaseRequest{Worker: "w-b"})
+	resp, code, err := c.Lease(context.Background(), jobd.LeaseRequest{Worker: "w-b"})
 	if err != nil || code != http.StatusOK || !resp.Idle || !resp.Done {
 		t.Fatalf("lease while draining: %+v code %d err %v", resp, code, err)
 	}

@@ -26,6 +26,17 @@
 //	POST /fabric/lease       acquire a lease (or renew / release one)
 //	POST /fabric/checkpoint  stream completed cell records back
 //	GET  /fabric/status      leases, steals, worker liveness
+//
+// # Idle workers
+//
+// An acquire that finds nothing to lease is held by the coordinator (a
+// long poll) for up to the worker's Poll, the request's wait_ms, and
+// answered the moment a lease can be granted: a job is submitted, a
+// lease is released or an expired one is stolen. An idle worker asks
+// again as soon as it gets an idle answer, so a new job's first cells
+// start within milliseconds of its submission, on remote workers as on
+// samuraid's in-process executors, which take the same held acquire. A
+// worker that hangs up, or drains, ends its held request at once.
 package fabric
 
 import "samurai/internal/jobd"

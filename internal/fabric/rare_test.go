@@ -129,7 +129,7 @@ func TestFabricRareDuplicateMismatchCaught(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grant, code, err := c.Lease(jobd.LeaseRequest{})
+	grant, code, err := c.Lease(context.Background(), jobd.LeaseRequest{})
 	if err != nil || code != 200 || grant.Idle {
 		t.Fatalf("lease: %v (code %d, idle %v)", err, code, grant.Idle)
 	}

@@ -30,10 +30,13 @@ type WorkerOptions struct {
 	Threads int
 	// Client is the HTTP client for all coordinator calls. The default
 	// sets a 30s Timeout — every client in this tree must bound its
-	// requests (samurailint httptimeouts).
+	// requests (samurailint httptimeouts) — and a Timeout must exceed
+	// the longest held acquire (Poll, at most jobd.MaxLeaseWait).
 	Client *http.Client
-	// Poll is the idle re-poll interval when no lease is available
-	// (default 500ms).
+	// Poll is the longest the coordinator holds one acquire when no
+	// lease is available (default 500ms, at most jobd.MaxLeaseWait). The
+	// coordinator answers a held acquire as soon as a lease can be
+	// granted, and the worker asks again at once after an idle answer.
 	Poll time.Duration
 	// Runner executes one cell of a run or array lease (default
 	// samurai.ArrayRunnerCtx()).
@@ -42,7 +45,8 @@ type WorkerOptions struct {
 	// samurai.RareArrayRunnerCtx()).
 	RareRunner montecarlo.RareCtxRunner
 	// ExitWhenDone makes Run return once the coordinator reports every
-	// job terminal, instead of polling for more work forever.
+	// job terminal (within one Poll of the last job ending), instead of
+	// asking for more work forever.
 	ExitWhenDone bool
 	// MaxRetries bounds the capped-exponential-backoff retries of each
 	// acquire and checkpoint request (default 8).

@@ -44,8 +44,8 @@ type LeaseClient interface {
 // the one client allowed the reserved in-process ids.
 type local struct{ s *Scheduler }
 
-func (l local) Lease(_ context.Context, req LeaseRequest) (LeaseResponse, int, error) {
-	return l.s.lease(req)
+func (l local) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, int, error) {
+	return l.s.lease(ctx, req, true)
 }
 
 func (l local) Checkpoint(_ context.Context, req CheckpointRequest) (CheckpointResponse, int, error) {
@@ -60,9 +60,11 @@ type ExecutorOptions struct {
 	// Threads overrides the per-lease cell parallelism (0 keeps the job
 	// spec's Workers setting).
 	Threads int
-	// Poll is the idle re-poll interval when no lease is available
-	// (default 500ms). In-process executors never poll: Submit, releases
-	// and steals wake them, and so does the earliest lease deadline.
+	// Poll is the longest the scheduler holds one acquire when no lease
+	// is available (default 500ms, at most MaxLeaseWait). A held acquire
+	// is answered as soon as a lease can be granted, and the executor
+	// asks again at once after an idle answer, so a new job's cells start
+	// as soon as it is submitted.
 	Poll time.Duration
 	// Runner executes one cell of a run or array lease (default
 	// samurai.ArrayRunnerCtx()).
@@ -71,7 +73,8 @@ type ExecutorOptions struct {
 	// samurai.RareArrayRunnerCtx()).
 	RareRunner montecarlo.RareCtxRunner
 	// ExitWhenDone makes Run return once the scheduler reports every job
-	// terminal, instead of waiting for more work forever.
+	// terminal (within one Poll of the last job ending), instead of
+	// waiting for more work forever.
 	ExitWhenDone bool
 	// OnCheckpoint, when non-nil, observes every cell the scheduler
 	// acknowledged as durably accepted (test and chaos hooks).
@@ -101,8 +104,8 @@ type Executor struct {
 	opts   ExecutorOptions
 	// s is the owning scheduler of an in-process executor (nil for a
 	// remote one). It adds what only the job table's own process can
-	// offer: wake-on-submit, the job's tracer, and the scheduler's
-	// default retry policy and retry reporting.
+	// offer: the job's tracer, the scheduler's default cell parallelism,
+	// and its default retry policy and retry reporting.
 	s *Scheduler
 
 	mu sync.Mutex
@@ -135,9 +138,10 @@ func (e *Executor) setID(id string) {
 	e.mu.Unlock()
 }
 
-// Drain stops the executor gracefully: in-flight cells finish and
-// checkpoint, the unfinished remainder of the current lease is released
-// back to the pool, and Run returns nil. Safe to call more than once.
+// Drain stops the executor gracefully: a held acquire ends at once,
+// in-flight cells finish and checkpoint, the unfinished remainder of the
+// current lease is released back to the pool, and Run returns nil. Safe
+// to call more than once.
 func (e *Executor) Drain() {
 	e.drainOnce.Do(func() { close(e.drain) })
 }
@@ -156,6 +160,17 @@ func (e *Executor) draining() bool {
 // TTL), Drain is called (graceful), or — with ExitWhenDone — the
 // scheduler reports all jobs terminal.
 func (e *Executor) Run(ctx context.Context) error {
+	// Acquires run under actx, which Drain also ends, so a drain does not
+	// wait out a held acquire.
+	actx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	go func() {
+		select {
+		case <-e.drain:
+			cancel()
+		case <-actx.Done():
+		}
+	}()
 	for {
 		if e.draining() {
 			return nil
@@ -163,27 +178,17 @@ func (e *Executor) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var grant LeaseResponse
-		var wake <-chan struct{}
-		var steal time.Duration
-		if e.s != nil {
-			grant, wake, steal = e.s.next(e.ID())
-		} else {
-			var err error
-			if grant, _, err = e.client.Lease(ctx, LeaseRequest{Worker: e.ID()}); err != nil {
-				if e.draining() {
-					return nil
-				}
-				return fmt.Errorf("jobd: acquiring lease: %w", err)
+		grant, _, err := e.client.Lease(actx, LeaseRequest{Worker: e.ID(), WaitMS: e.opts.Poll.Milliseconds()})
+		if err != nil {
+			if e.draining() {
+				return nil
 			}
-			e.setID(grant.Worker)
+			return fmt.Errorf("jobd: acquiring lease: %w", err)
 		}
+		e.setID(grant.Worker)
 		if grant.Idle {
 			if grant.Done && e.opts.ExitWhenDone {
 				return nil
-			}
-			if err := e.idle(ctx, wake, steal); err != nil {
-				return err
 			}
 			continue
 		}
@@ -192,29 +197,6 @@ func (e *Executor) Run(ctx context.Context) error {
 			return err
 		}
 	}
-}
-
-// idle waits for work. An in-process executor waits until wake closes
-// or, with leases outstanding, until the earliest can be stolen (steal),
-// since its holder may have died; a remote one for one poll interval.
-func (e *Executor) idle(ctx context.Context, wake <-chan struct{}, steal time.Duration) error {
-	if wake == nil {
-		steal = e.opts.Poll
-	}
-	var timeout <-chan time.Time
-	if steal > 0 {
-		timer := time.NewTimer(steal)
-		defer timer.Stop()
-		timeout = timer.C
-	}
-	select {
-	case <-wake:
-	case <-timeout:
-	case <-e.drain:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	return nil
 }
 
 // runLease simulates one granted cell range. Three goroutine roles:
@@ -228,7 +210,12 @@ func (e *Executor) runLease(ctx context.Context, grant LeaseResponse) error {
 	}
 	cfg, err := grant.Spec.ArrayConfig()
 	if err != nil {
-		return fmt.Errorf("jobd: lease %d spec: %w", grant.Lease, err)
+		// No executor can run the spec (a job replayed from a WAL written
+		// before a limit existed), so the job fails loudly.
+		err = fmt.Errorf("jobd: lease %d spec: %w", grant.Lease, err)
+		//lint:ignore bareerr if this release is lost, the next executor to lease the cells after expiry fails the job
+		e.client.Lease(ctx, LeaseRequest{Worker: e.ID(), Release: grant.Lease, Error: err.Error()})
+		return err
 	}
 	switch {
 	case e.opts.Threads > 0:

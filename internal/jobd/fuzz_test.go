@@ -1,6 +1,8 @@
 package jobd
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -135,4 +137,45 @@ func checkConsistent(t *testing.T, jobs []*Job, maxSeq uint64) {
 			}
 		}
 	}
+}
+
+// FuzzSpec feeds arbitrary bytes to spec decoding as POST /jobs does it:
+// strict decoding (an unknown field is refused), then the defaults.
+// Every spec Validate accepts must sit within the size limits, translate
+// to the montecarlo config its leases run, and encode for the WAL.
+func FuzzSpec(f *testing.F) {
+	for _, body := range []string{
+		`{"type":"array","seed":42,"cells":3,"with_rtn":false}`,
+		`{"type":"run","seed":7}`,
+		`{"type":"rare_array","seed":1,"cells":32,"tilt_ev":-0.01}`,
+		`{"type":"array","cells":67108864}`,
+		`{"type":"array","cells":2,"workers":100000,"pattern":"0101","retry":{"max":3,"backoff_ms":1}}`,
+		`{"type":"array","cells":2,"tech":"32nm","vdd_frac":0.9,"scale":30,"retry":{"max_backoff_ms":999999999}}`,
+		`{"type":"array","cells":1,"bogus_field":1}`,
+		`not json`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec Spec
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&spec) != nil {
+			return
+		}
+		spec = spec.withDefaults()
+		if spec.Validate() != nil {
+			return
+		}
+		if r := spec.Retry; spec.Cells > MaxCells || spec.Workers > MaxWorkers || len(spec.Pattern) > MaxPatternBits ||
+			r.Max > MaxCellRetries || r.BackoffMS > MaxRetryBackoffMS || r.MaxBackoffMS > MaxRetryBackoffMS {
+			t.Fatalf("Validate accepted a spec over a size limit: %+v", spec)
+		}
+		if _, err := spec.ArrayConfig(); err != nil {
+			t.Fatalf("Validate accepted %+v, ArrayConfig refused it: %v", spec, err)
+		}
+		if _, err := json.Marshal(spec); err != nil {
+			t.Fatalf("accepted spec %+v does not encode for the WAL: %v", spec, err)
+		}
+	})
 }

@@ -107,6 +107,26 @@ func (r RetrySpec) withDefaults() RetrySpec {
 	return r
 }
 
+// Spec size limits. Validate refuses a spec above any of them and
+// names the field, so one small POST cannot make the scheduler allocate
+// or start goroutines without bound. Each is far above what any caller
+// in this repository submits.
+const (
+	// MaxCells bounds an array job's cells: its lease pool holds a byte
+	// per cell, and its records a few hundred.
+	MaxCells = 1 << 20
+	// MaxWorkers bounds a job's cell parallelism: the goroutines one
+	// lease runs, and the factor on an in-process lease's width.
+	MaxWorkers = 1024
+	// MaxPatternBits bounds the write pattern: each bit is one simulated
+	// write cycle of every cell.
+	MaxPatternBits = 256
+	// MaxCellRetries bounds the retries of one cell, and
+	// MaxRetryBackoffMS each backoff between them.
+	MaxCellRetries    = 32
+	MaxRetryBackoffMS = 60_000
+)
+
 // Spec is the submitted job description (the POST /jobs payload).
 type Spec struct {
 	// Type selects the workload: "run", "array" or "rare_array".
@@ -164,6 +184,9 @@ func (s Spec) Validate() error {
 		if s.Cells <= 0 {
 			return fmt.Errorf("jobd: %q jobs need a positive cell count, got %d", s.Type, s.Cells)
 		}
+		if s.Cells > MaxCells {
+			return fmt.Errorf("jobd: cells %d above the limit %d", s.Cells, MaxCells)
+		}
 	default:
 		return fmt.Errorf("jobd: unknown job type %q (want %q, %q or %q)", s.Type, TypeRun, TypeArray, TypeRareArray)
 	}
@@ -195,13 +218,26 @@ func (s Spec) Validate() error {
 	if math.IsNaN(s.Scale) || math.IsInf(s.Scale, 0) || s.Scale < 0 {
 		return fmt.Errorf("jobd: RTN scale %g is not a finite non-negative number", s.Scale)
 	}
+	if s.Workers > MaxWorkers {
+		return fmt.Errorf("jobd: workers %d above the limit %d", s.Workers, MaxWorkers)
+	}
+	if len(s.Pattern) > MaxPatternBits {
+		return fmt.Errorf("jobd: pattern of %d bits above the limit %d", len(s.Pattern), MaxPatternBits)
+	}
 	for _, c := range s.Pattern {
 		if c != '0' && c != '1' {
 			return fmt.Errorf("jobd: pattern must be a string of 0s and 1s, got %q", s.Pattern)
 		}
 	}
-	if s.Retry.Max < 0 {
-		return fmt.Errorf("jobd: negative retry count %d", s.Retry.Max)
+	switch r := s.Retry; {
+	case r.Max < 0:
+		return fmt.Errorf("jobd: negative retry count %d", r.Max)
+	case r.Max > MaxCellRetries:
+		return fmt.Errorf("jobd: retry.max %d above the limit %d", r.Max, MaxCellRetries)
+	case r.BackoffMS > MaxRetryBackoffMS:
+		return fmt.Errorf("jobd: retry.backoff_ms %d above the limit %d", r.BackoffMS, MaxRetryBackoffMS)
+	case r.MaxBackoffMS > MaxRetryBackoffMS:
+		return fmt.Errorf("jobd: retry.max_backoff_ms %d above the limit %d", r.MaxBackoffMS, MaxRetryBackoffMS)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package jobd
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -66,6 +67,12 @@ type LeaseRequest struct {
 	// outcomes are pure functions of the seed, so a simulation error
 	// reproduces on any executor — re-leasing cannot fix it.)
 	Error string `json:"error,omitempty"`
+	// WaitMS, on an acquire, is how long the scheduler may hold the
+	// request when no lease is available (a long poll, capped at
+	// MaxLeaseWait): it answers as soon as one can be granted, and Idle
+	// when the wait passes. 0 answers at once. A scheduler that predates
+	// the field refuses it with 400 (strict decoding).
+	WaitMS int64 `json:"wait_ms,omitempty"`
 }
 
 // LeaseResponse answers an acquire or renew.
@@ -304,9 +311,8 @@ func (s *Scheduler) touchWorkerLocked(id string, now time.Time) *workerInfo {
 
 // reapLocked steals expired leases: their unfinished cells return to
 // the pool for the next acquire. Called on every lease-protocol
-// request, so the scheduler needs no background timer: remote workers
-// reap on their idle polls, and an idle in-process executor wakes at
-// the earliest deadline (untilStealLocked) to reap.
+// request, so the scheduler needs no background timer: a held acquire
+// wakes at the earliest deadline (untilStealLocked) to reap.
 func (s *Scheduler) reapLocked(now time.Time) {
 	for id, l := range s.leases {
 		if !l.expires.Before(now) {
@@ -362,28 +368,80 @@ func refuseLocal(worker string) error {
 }
 
 // Lease serves one remote lease exchange: acquire, renew or release. It
-// returns the response plus the HTTP status the exchange maps to.
-func (s *Scheduler) Lease(req LeaseRequest) (LeaseResponse, int, error) {
+// returns the response plus the HTTP status the exchange maps to. An
+// acquire may be held up to req.WaitMS (see acquire); ctx ends the hold
+// early, as when an HTTP client hangs up.
+func (s *Scheduler) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, int, error) {
 	if err := refuseLocal(req.Worker); err != nil {
 		return LeaseResponse{}, http.StatusBadRequest, err
 	}
-	return s.lease(req)
+	return s.lease(ctx, req, false)
 }
 
-// lease serves a lease exchange from any executor.
-func (s *Scheduler) lease(req LeaseRequest) (LeaseResponse, int, error) {
+// lease serves a lease exchange from any executor; local marks an
+// in-process one, whose acquires are wider (see acquireLocked).
+func (s *Scheduler) lease(ctx context.Context, req LeaseRequest, local bool) (LeaseResponse, int, error) {
+	if req.Renew == 0 && req.Release == 0 {
+		wait := time.Duration(min(req.WaitMS, MaxLeaseWait.Milliseconds())) * time.Millisecond
+		return s.acquire(ctx, req.Worker, wait, local), http.StatusOK, nil
+	}
 	now := s.opts.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w := s.touchWorkerLocked(req.Worker, now)
 	s.reapLocked(now)
-	switch {
-	case req.Renew != 0:
+	if req.Renew != 0 {
 		return s.renewLocked(w, req.Renew, now)
-	case req.Release != 0:
-		return s.releaseLocked(w, req)
 	}
-	return s.acquireLocked(w, now, false), http.StatusOK, nil
+	return s.releaseLocked(w, req)
+}
+
+// MaxLeaseWait caps how long one acquire is held, well inside the
+// fabric worker's 30 s HTTP client timeout.
+const MaxLeaseWait = 10 * time.Second
+
+// acquire grants the first available lease (acquireLocked). When there
+// is none it holds the request, a long poll, and tries again whenever
+// Submit, a release or a steal closes the wake channel and when the
+// earliest outstanding lease becomes stealable, so it answers as soon
+// as a lease can be granted. It answers Idle once wait passes, ctx
+// ends or Drain has finished. wait is real time, whatever Options.Now
+// says.
+func (s *Scheduler) acquire(ctx context.Context, worker string, wait time.Duration, local bool) LeaseResponse {
+	deadline := time.Now().Add(wait)
+	for final := wait <= 0; ; {
+		now := s.opts.Now()
+		s.mu.Lock()
+		w := s.touchWorkerLocked(worker, now)
+		s.reapLocked(now)
+		grant := s.acquireLocked(w, now, local)
+		wake, steal := s.wake, s.untilStealLocked(now)
+		s.mu.Unlock()
+		if !grant.Idle || final {
+			return grant
+		}
+		worker = w.id
+		d := time.Until(deadline)
+		if steal > 0 {
+			d = min(d, steal)
+		}
+		timer := time.NewTimer(d)
+		select {
+		case <-wake:
+		case <-timer.C:
+			// A steal deadline reaps and tries again; the wait's own
+			// deadline tries once more, so Done is fresh.
+			final = !time.Now().Before(deadline)
+		case <-s.drained:
+			final = true
+		case <-ctx.Done():
+			// Granting now would strand the lease with a requester that
+			// has gone.
+			timer.Stop()
+			return grant
+		}
+		timer.Stop()
+	}
 }
 
 // errNotHeld answers a renew or release of a lease the caller does not

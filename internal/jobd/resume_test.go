@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -251,6 +252,34 @@ func TestSpecValidateRejectsNonFinite(t *testing.T) {
 	}
 	if got := mStoreErrors.Value(); got != before {
 		t.Fatalf("store errors %d → %d: a non-finite spec reached the WAL encoder", before, got)
+	}
+}
+
+// TestSpecValidateRefusesOversize: a spec above a size limit is refused
+// with an error naming the field, and one at every limit is accepted.
+// Validate only: nothing here runs a job of that size.
+func TestSpecValidateRefusesOversize(t *testing.T) {
+	over := map[string]Spec{
+		"cells":                {Type: TypeArray, Cells: MaxCells + 1},
+		"workers":              {Type: TypeArray, Cells: 2, Workers: MaxWorkers + 1},
+		"pattern":              {Type: TypeArray, Cells: 2, Pattern: strings.Repeat("01", MaxPatternBits/2+1)},
+		"retry.max":            {Type: TypeArray, Cells: 2, Retry: RetrySpec{Max: MaxCellRetries + 1}},
+		"retry.backoff_ms":     {Type: TypeArray, Cells: 2, Retry: RetrySpec{BackoffMS: MaxRetryBackoffMS + 1}},
+		"retry.max_backoff_ms": {Type: TypeRun, Retry: RetrySpec{MaxBackoffMS: MaxRetryBackoffMS + 1}},
+	}
+	for field, spec := range over {
+		err := spec.withDefaults().Validate()
+		if err == nil || !strings.Contains(err.Error(), field+" ") {
+			t.Errorf("%s over its limit: Validate returned %v, want an error naming %s", field, err, field)
+		}
+	}
+	at := Spec{
+		Type: TypeRareArray, Cells: MaxCells, Workers: MaxWorkers,
+		Pattern: strings.Repeat("1", MaxPatternBits),
+		Retry:   RetrySpec{Max: MaxCellRetries, BackoffMS: MaxRetryBackoffMS, MaxBackoffMS: MaxRetryBackoffMS},
+	}
+	if err := at.withDefaults().Validate(); err != nil {
+		t.Fatalf("a spec at every limit refused: %v", err)
 	}
 }
 

@@ -134,7 +134,7 @@ type Scheduler struct {
 	// draining flips once; guarded by mu, signalled by drainCh.
 	draining bool
 	// wake is closed (and replaced) whenever work may have appeared for
-	// an idle in-process executor.
+	// a held acquire.
 	wake chan struct{}
 
 	leaseSeq  uint64
@@ -143,7 +143,11 @@ type Scheduler struct {
 	workers   map[string]*workerInfo
 	steals    int64
 
+	// drainCh closes when Drain begins, stopping the in-process
+	// executors; drained closes when it ends, answering every held
+	// acquire.
 	drainCh chan struct{}
+	drained chan struct{}
 	wg      sync.WaitGroup
 }
 
@@ -165,6 +169,7 @@ func New(store *Store, replayed []*Job, maxSeq uint64, opts Options) *Scheduler 
 		leases:  map[uint64]*lease{},
 		workers: map[string]*workerInfo{},
 		drainCh: make(chan struct{}),
+		drained: make(chan struct{}),
 	}
 	for _, j := range replayed {
 		s.jobs[j.ID] = j
@@ -219,31 +224,10 @@ func (s *Scheduler) Start() {
 	}
 }
 
-// notifyLocked wakes every idle in-process executor.
+// notifyLocked wakes every held acquire.
 func (s *Scheduler) notifyLocked() {
 	close(s.wake)
 	s.wake = make(chan struct{})
-}
-
-// next is an in-process executor's acquire: under one lock it grants
-// the first lease in submission order. It also returns the channel the
-// next Submit, release or steal closes, so an idle executor cannot miss
-// the work that appears after this call, and, when idle, how long until
-// the earliest outstanding lease can be stolen (0 with none): a lease
-// whose remote holder died is reaped only by a lease-protocol call, and
-// the idle executor may be the last one left to make it.
-func (s *Scheduler) next(worker string) (LeaseResponse, <-chan struct{}, time.Duration) {
-	now := s.opts.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w := s.touchWorkerLocked(worker, now)
-	s.reapLocked(now)
-	grant := s.acquireLocked(w, now, true)
-	var steal time.Duration
-	if grant.Idle {
-		steal = s.untilStealLocked(now)
-	}
-	return grant, s.wake, steal
 }
 
 // Submit validates, persists and queues a new job, returning its view.
@@ -367,9 +351,10 @@ func (s *Scheduler) Draining() bool {
 // Drain stops the scheduler gracefully: no new jobs are accepted and no
 // new leases granted; in-process executors finish and checkpoint their
 // in-flight cells and release the rest; interrupted sweeps transition
-// back to queued (resumable after restart); and all event streams are
-// closed. Checkpoints from remote workers keep landing, so they flush
-// cleanly. It blocks until the in-process executors are idle.
+// back to queued (resumable after restart); held acquires are answered
+// Done; and all event streams are closed. Checkpoints from remote
+// workers keep landing, so they flush cleanly. It blocks until the
+// in-process executors are idle.
 func (s *Scheduler) Drain() {
 	s.mu.Lock()
 	if s.draining {
@@ -389,6 +374,7 @@ func (s *Scheduler) Drain() {
 		}
 	}
 	s.mu.Unlock()
+	close(s.drained)
 	s.hub.closeAll()
 }
 

@@ -1,6 +1,7 @@
 package jobd
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,7 +35,7 @@ const MaxBodyBytes = 1 << 20
 //	GET  /healthz             liveness (503 while draining)
 func NewHandler(s *Scheduler) *http.ServeMux {
 	mux := obs.NewMux(nil)
-	mux.HandleFunc("POST /jobs", JSONRoute(func(spec Spec) (View, int, error) {
+	mux.HandleFunc("POST /jobs", JSONRoute(func(_ context.Context, spec Spec) (View, int, error) {
 		v, err := s.Submit(spec)
 		switch {
 		case err == nil:
@@ -211,9 +212,11 @@ func (s *Scheduler) serveEvents(w http.ResponseWriter, r *http.Request) {
 
 // JSONRoute adapts a request → (response, HTTP status, error) call into
 // a POST handler: the body is capped at MaxBodyBytes (413 beyond) and
-// decoded strictly (unknown fields are a 400), and the response or the
-// error is written as JSON with the status the call chose.
-func JSONRoute[Req, Resp any](call func(Req) (Resp, int, error)) http.HandlerFunc {
+// decoded strictly (unknown fields are a 400), the call gets the
+// request's context, which ends when the client hangs up, and the
+// response or the error is written as JSON with the status the call
+// chose.
+func JSONRoute[Req, Resp any](call func(context.Context, Req) (Resp, int, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Req
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
@@ -227,7 +230,7 @@ func JSONRoute[Req, Resp any](call func(Req) (Resp, int, error)) http.HandlerFun
 			httpError(w, code, fmt.Errorf("jobd: decoding %T: %w", req, err))
 			return
 		}
-		resp, code, err := call(req)
+		resp, code, err := call(r.Context(), req)
 		if err != nil {
 			httpError(w, code, err)
 			return

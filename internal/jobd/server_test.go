@@ -121,6 +121,8 @@ func TestServerValidationAndRouting(t *testing.T) {
 		want int
 	}{
 		{`{"type":"array","cells":0}`, http.StatusBadRequest},
+		// 43 bytes that would make the lease pool allocate 64 MiB.
+		{`{"type":"array","cells":67108864,"seed":1}`, http.StatusBadRequest},
 		{`{"type":"mystery"}`, http.StatusBadRequest},
 		{`{"type":"array","cells":1,"bogus_field":1}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},

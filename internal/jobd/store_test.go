@@ -1,6 +1,8 @@
 package jobd
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"net/http"
 	"os"
@@ -124,6 +126,29 @@ func TestStoreRunningJobReplaysAsQueued(t *testing.T) {
 // and no result record. The scheduler built over that WAL finishes the
 // job with the summary its records give, instead of holding it queued
 // with nothing left to lease.
+// TestReplayedOversizeJobFailsLoudly: a queued job whose spec is over a
+// size limit (written before the limit existed) fails at its first
+// lease, with the error naming the field, instead of cycling through
+// lease expiries. No cell is simulated.
+func TestReplayedOversizeJobFailsLoudly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	job := fmt.Sprintf(`{"rec":"job","id":"job-000001","seq":1,"spec":{"type":"array","seed":7,"cells":%d}}`, MaxCells+1)
+	if err := os.WriteFile(path, walLines(job), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, jobs, seq := mustOpen(t, path)
+	s := New(st, jobs, seq, Options{MaxJobs: 1})
+	s.Start()
+	defer s.Drain()
+	waitFor(t, "the job to fail", func() bool {
+		v, _ := s.Get("job-000001")
+		return v.State.Terminal()
+	})
+	if v, _ := s.Get("job-000001"); v.State != StateFailed || !strings.Contains(v.Error, "cells ") || v.CellsDone != 0 {
+		t.Fatalf("oversize replayed job: %s (%q) with %d cells done, want failed naming cells", v.State, v.Error, v.CellsDone)
+	}
+}
+
 func TestReplayedJobWithLostResultFinishes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
 	wal := walLines(
@@ -141,7 +166,7 @@ func TestReplayedJobWithLostResultFinishes(t *testing.T) {
 	if v, _ := s.Get("job-000001"); v.State != StateDone || v.Result == nil || *v.Result != want {
 		t.Fatalf("replayed job: %s with %+v, want done with %+v", v.State, v.Result, want)
 	}
-	resp, code, err := s.Lease(LeaseRequest{})
+	resp, code, err := s.Lease(context.Background(), LeaseRequest{})
 	if err != nil || code != http.StatusOK || !resp.Idle || !resp.Done {
 		t.Fatalf("lease over the finished table: %+v code %d err %v", resp, code, err)
 	}
@@ -285,7 +310,7 @@ func TestReplayLeasesOnlyUndoneCells(t *testing.T) {
 	s := New(st, jobs, seq, Options{MaxJobs: -1, LeaseCells: 8, LeaseTTL: time.Minute})
 	var ranges [][2]int
 	for {
-		grant, _, err := s.Lease(LeaseRequest{})
+		grant, _, err := s.Lease(context.Background(), LeaseRequest{})
 		if err != nil {
 			t.Fatal(err)
 		}

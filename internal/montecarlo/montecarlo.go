@@ -304,6 +304,9 @@ func RunRange(ctx context.Context, cfg ArrayConfig, lo, hi int, run RareCtxRunne
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	// A worker past the range's cell count would only wait for cells that
+	// never come.
+	workers = min(workers, hi-lo)
 	root := rng.New(cfg.Seed)
 
 	// The array span parents every per-cell span: a tracer installed

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+
+	"samurai/internal/obs"
 )
 
 // TestRunArrayCtxSubsetBitIdentical shards the sweep into contiguous
@@ -123,6 +126,31 @@ func TestRunArrayCtxSubsetValidation(t *testing.T) {
 	if err := RunRange(context.Background(), empty, 0, 1, run, 0, nil, keep); err == nil {
 		t.Fatal("empty array accepted")
 	}
+}
+
+// TestRunRangeStartsAtMostRangeGoroutines: a range of two cells starts
+// two cell goroutines however many workers the config asks for. Every
+// cell goroutine resolves its worker's busy-seconds series as it exits,
+// so the worker labels in the registry count the goroutines started.
+func TestRunRangeStartsAtMostRangeGoroutines(t *testing.T) {
+	cfg := resumeTestConfig()
+	cfg.Workers = 200
+	merged := make([]CellOutcome, cfg.Cells)
+	if err := RunRange(context.Background(), cfg, 6, 8, AsRare(resumeTestRunner), 0, nil, func(o CellOutcome) { merged[o.Index] = o }); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := obs.Default().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if last := fmt.Sprintf(`samurai_mc_worker_busy_seconds_total{worker="%d"}`, cfg.Workers-1); strings.Contains(b.String(), last) {
+		t.Fatalf("a 2-cell range on Workers %d started a goroutine for worker %d", cfg.Workers, cfg.Workers-1)
+	}
+	baseline, err := RunArrayCtx(context.Background(), cfg, resumeTestRunner, ArrayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, merged[6:8], baseline.Outcomes[6:8])
 }
 
 // leaseRange runs cells [0, 64) of an n-cell sweep with the fake runner
